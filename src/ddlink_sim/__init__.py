@@ -6,7 +6,7 @@ user's channel.  The package quantifies that leakage's cost in spectral
 efficiency and outage probability with paired Monte Carlo trials.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import (
     EigenSpectra,
@@ -19,6 +19,7 @@ from .channel import (
     sample_hm_channel,
     sample_lm_channel,
     subpath_ratio,
+    uniform_weights,
     without_fractional_doppler,
 )
 from .config import (
@@ -27,11 +28,11 @@ from .config import (
     SystemConfig,
     ValidationError,
     config_from_dict,
+    db_to_linear,
     load_config,
 )
 from .equalizer import (
     DegenerateSpectrum,
-    EqualizerSpectrum,
     LinkSnrs,
     detection_power_terms,
     empirical_hm_sinr,
@@ -39,20 +40,12 @@ from .equalizer import (
     hm_detection_snr,
     lm_detection_snr,
     mmse_spectrum,
-    uniform_weights,
 )
 from .grids import (
-    DDGrid,
-    DDVector,
     NotBlockCirculant,
     SpectralBasis,
-    TFGrid,
     build_basis,
-    devectorize,
     diagonalize_bccb,
-    isfft,
-    sfft,
-    vectorize,
 )
 from .noma import (
     PowerAllocation,
@@ -61,13 +54,11 @@ from .noma import (
     allocate_power,
     assemble_rates,
     spectral_efficiency,
-    superpose,
 )
 from .simkit import (
     SweepPoint,
     SweepSummary,
     TrialResult,
-    db_to_linear,
     derive_trial_seed,
     outage_probability,
     run_sweep,
@@ -79,11 +70,8 @@ __all__ = [
     "__version__",
     "CheckResult",
     "ConfigError",
-    "DDGrid",
-    "DDVector",
     "DegenerateSpectrum",
     "EigenSpectra",
-    "EqualizerSpectrum",
     "HMChannelRealization",
     "LMChannelRealization",
     "LinkSnrs",
@@ -94,7 +82,6 @@ __all__ = [
     "SweepPoint",
     "SweepSummary",
     "SystemConfig",
-    "TFGrid",
     "TrialResult",
     "UserRates",
     "ValidationError",
@@ -106,14 +93,12 @@ __all__ = [
     "db_to_linear",
     "derive_trial_seed",
     "detection_power_terms",
-    "devectorize",
     "diagonalize_bccb",
     "empirical_hm_sinr",
     "hm_at_lm_snr",
     "hm_channel_matrices",
     "hm_detection_snr",
     "hm_eigen_spectra",
-    "isfft",
     "lm_detection_snr",
     "lm_eigen_spectrum",
     "lm_subchannel_gains",
@@ -124,11 +109,8 @@ __all__ = [
     "run_trial",
     "sample_hm_channel",
     "sample_lm_channel",
-    "sfft",
     "spectral_efficiency",
     "subpath_ratio",
-    "superpose",
     "uniform_weights",
-    "vectorize",
     "without_fractional_doppler",
 ]

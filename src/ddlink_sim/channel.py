@@ -7,6 +7,11 @@ subpath carries the desired signal while the q != 0 subpaths act as
 inter-Doppler interference (IDI).  Low-mobility (LM) channels are
 delay-only.
 
+A realization holds its paths as arrays.  The per-antenna gains are
+combined with the uniform transmit weights as soon as they are drawn:
+every spectrum is linear in the path gains, so beamforming commutes with
+the diagonalization and only the beamformed gain w @ alpha_p is kept.
+
 All channel matrices are block circulant under the k + N*l vector
 layout, so their eigenvalues can be evaluated directly on the spectral
 grid (`hm_eigen_spectra`, `lm_eigen_spectrum`) without forming the dense
@@ -27,128 +32,96 @@ LM_PATH_RANGE = (1, 4)
 # === realizations ====================================================
 
 
-@dataclass(frozen=True)
-class HMPath:
-    """One propagation path of the high-mobility channel.
-
-    The per-antenna complex gains share the path's delay/Doppler
-    geometry; `fractional_doppler` is the offset kappa in (-1/2, 1/2]
-    between the true Doppler shift and the nearest grid bin.
-    """
-
-    doppler_tap: int
-    delay_tap: int
-    fractional_doppler: float
-    gains: np.ndarray
-
-    def __post_init__(self):
-        if not -0.5 < self.fractional_doppler <= 0.5:
-            raise ValueError(
-                f"fractional_doppler must lie in (-1/2, 1/2], got {self.fractional_doppler!r}"
-            )
-        gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-        if gains.ndim != 1 or not np.isfinite(gains).all():
-            raise ValueError("gains must be a finite 1-D complex array")
-        object.__setattr__(self, "gains", gains)
+def _path_arrays(gain, *taps) -> tuple:
+    """Validated (gain, *taps) arrays of one path set."""
+    gain = np.asarray(gain, dtype=complex)
+    if gain.ndim != 1 or gain.size == 0:
+        raise ValueError("a channel realization needs at least one path")
+    if not np.isfinite(gain).all():
+        raise ValueError("gains must be finite")
+    arrays = tuple(np.asarray(t) for t in taps)
+    if any(a.shape != gain.shape for a in arrays):
+        raise ValueError("every path array needs one entry per path")
+    return (gain, *arrays)
 
 
 @dataclass(frozen=True)
 class HMChannelRealization:
-    """Path set of one HM channel draw, shared across antennas."""
+    """One HM channel draw, one array entry per path.
 
-    paths: tuple
+    doppler and delay are the integer taps, kappa the fractional Doppler
+    offsets in (-1/2, 1/2] between the true shifts and the nearest grid
+    bins, and gain the beamformed complex path gains.
+    """
+
+    doppler: np.ndarray
+    delay: np.ndarray
+    kappa: np.ndarray
+    gain: np.ndarray
     subpath_halfwidth: int
 
     def __post_init__(self):
-        paths = tuple(self.paths)
-        if not paths:
-            raise ValueError("a channel realization needs at least one path")
-        counts = {p.gains.size for p in paths}
-        if len(counts) != 1:
-            raise ValueError(f"paths disagree on antenna count: {sorted(counts)}")
+        gain, doppler, delay, kappa = _path_arrays(self.gain, self.doppler, self.delay, self.kappa)
+        kappa = kappa.astype(float)
+        if not np.all((kappa > -0.5) & (kappa <= 0.5)):
+            raise ValueError(f"kappa must lie in (-1/2, 1/2], got {kappa!r}")
         if self.subpath_halfwidth < 0:
             raise ValueError("subpath_halfwidth must be >= 0")
-        object.__setattr__(self, "paths", paths)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.paths[0].gains.size
-
-
-@dataclass(frozen=True)
-class LMPath:
-    delay_tap: int
-    gains: np.ndarray
-
-    def __post_init__(self):
-        gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-        if gains.ndim != 1 or not np.isfinite(gains).all():
-            raise ValueError("gains must be a finite 1-D complex array")
-        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "doppler", doppler)
+        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "gain", gain)
 
 
 @dataclass(frozen=True)
 class LMChannelRealization:
-    """Delay-only channel of one low-mobility user."""
+    """Delay-only channel of one low-mobility user, one entry per path."""
 
     user: int
-    paths: tuple
+    delay: np.ndarray
+    gain: np.ndarray
 
     def __post_init__(self):
-        paths = tuple(self.paths)
-        if not paths:
-            raise ValueError("a channel realization needs at least one path")
-        counts = {p.gains.size for p in paths}
-        if len(counts) != 1:
-            raise ValueError(f"paths disagree on antenna count: {sorted(counts)}")
+        gain, delay = _path_arrays(self.gain, self.delay)
         if self.user < 1:
             raise ValueError("user indices start at 1")
-        object.__setattr__(self, "paths", paths)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.paths[0].gains.size
+        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "gain", gain)
 
 
 @dataclass(frozen=True)
 class EigenSpectra:
-    """Per-antenna eigenvalue spectra of one HM realization.
+    """Eigenvalue spectra of one HM realization.
 
-    Each array has shape (A, N*M) in spectral order i = m_del*N + m_dopp.
-    lambda_main holds the q = 0 subpath image, lambda_idi the truncated
-    q != 0 leakage, and lambda_full the independently summed total;
-    lambda_full equals lambda_main + lambda_idi up to rounding.
+    Each array has shape (N*M,) in spectral order i = m_del*N + m_dopp.
+    lambda_main holds the q = 0 subpath image and lambda_idi the
+    truncated q != 0 leakage.
     """
 
     lambda_main: np.ndarray
     lambda_idi: np.ndarray
-    lambda_full: np.ndarray
-
-    @property
-    def n_antennas(self) -> int:
-        return self.lambda_main.shape[0]
 
 
 # === subpath leakage =================================================
 
 
-def _subpath_ratios(qs: np.ndarray, kappa: float, n_doppler: int) -> np.ndarray:
-    """Leakage ratio of each Doppler offset q for one path.
+def _subpath_ratios(qs, kappa, n_doppler: int) -> np.ndarray:
+    """Leakage ratio of each Doppler offset q, broadcast against kappa.
 
     Ratio of the subpath amplitude at offset q to the full path
     amplitude.  Offsets where q + kappa is an exact multiple of N take
     the analytic limit 1; other integer offsets are exactly 0, which
     keeps the zero-offset (kappa = 0) case free of rounding dust.
     """
-    qs = np.asarray(qs)
+    qs, kappa = np.broadcast_arrays(qs, kappa)
     t = qs + kappa
-    out = np.empty(qs.shape, dtype=complex)
+    out = np.empty(t.shape, dtype=complex)
     exact = t == np.floor(t)
     if np.any(exact):
         out[exact] = np.where(np.mod(t[exact].astype(np.int64), n_doppler) == 0, 1.0, 0.0)
     rest = ~exact
     if np.any(rest):
-        theta = -qs[rest] - kappa
+        theta = -qs[rest] - kappa[rest]
         num = np.exp(-2j * np.pi * theta) - 1.0
         den = n_doppler * np.exp(-1j * (2.0 * np.pi / n_doppler) * theta) - n_doppler
         out[rest] = num / den
@@ -160,25 +133,18 @@ def subpath_ratio(q: int, kappa: float, n_doppler: int) -> complex:
     return complex(_subpath_ratios(np.array([q]), kappa, n_doppler)[0])
 
 
-def subpath_coefficient(
-    alpha: complex,
-    doppler_hz: float,
-    delay_s: float,
-    q: int,
-    kappa: float,
-    n_doppler: int,
-) -> complex:
-    """Effective gain of one subpath: path gain, delay-Doppler phase, leakage."""
-    return alpha * np.exp(-2j * np.pi * doppler_hz * delay_s) * subpath_ratio(q, kappa, n_doppler)
-
-
-def _tap_phase(doppler_tap: int, kappa: float, delay_tap: int, n_doppler: int, n_delay: int) -> complex:
+def _tap_phase(doppler_tap, kappa, delay_tap, n_doppler: int, n_delay: int):
     # Doppler-delay product phase; the physical scales cancel, leaving
     # only grid units: nu*tau = (k + kappa)*l / (N*M).
     return np.exp(-2j * np.pi * (doppler_tap + kappa) * delay_tap / (n_doppler * n_delay))
 
 
 # === sampling ========================================================
+
+
+def uniform_weights(n_antennas: int) -> np.ndarray:
+    """Unit-power transmit weights, identical on every antenna."""
+    return np.full(n_antennas, 1.0 / np.sqrt(n_antennas), dtype=complex)
 
 
 def doppler_tap_span(cfg: SystemConfig) -> int:
@@ -196,6 +162,16 @@ def _draw_delay_taps(n_paths: int, l_max: int, rng: np.random.Generator) -> np.n
     return taps
 
 
+def _beamformed_gains(n_paths: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-antenna gains, i.i.d. complex normal with variance 1/n_paths,
+    combined at once with the uniform transmit weights."""
+    scale = np.sqrt(0.5 / n_paths)
+    gains = scale * (
+        rng.standard_normal((n_paths, n_antennas)) + 1j * rng.standard_normal((n_paths, n_antennas))
+    )
+    return gains @ uniform_weights(n_antennas)
+
+
 def sample_hm_channel(cfg: SystemConfig, rng: np.random.Generator) -> HMChannelRealization:
     """Draw one HM realization.
 
@@ -209,15 +185,8 @@ def sample_hm_channel(cfg: SystemConfig, rng: np.random.Generator) -> HMChannelR
     doppler = rng.integers(-k_max, k_max + 1, size=cfg.L_0)
     kappa = 0.5 - rng.random(cfg.L_0)  # maps [0, 1) onto (-1/2, 1/2]
     delays = _draw_delay_taps(cfg.L_0, cfg.l_max, rng)
-    scale = np.sqrt(0.5 / cfg.L_0)
-    gains = scale * (
-        rng.standard_normal((cfg.L_0, cfg.A)) + 1j * rng.standard_normal((cfg.L_0, cfg.A))
-    )
-    paths = tuple(
-        HMPath(int(doppler[p]), int(delays[p]), float(kappa[p]), gains[p])
-        for p in range(cfg.L_0)
-    )
-    return HMChannelRealization(paths, cfg.N_p)
+    gain = _beamformed_gains(cfg.L_0, cfg.A, rng)
+    return HMChannelRealization(doppler, delays, kappa, gain, cfg.N_p)
 
 
 def sample_lm_channel(cfg: SystemConfig, user: int, rng: np.random.Generator) -> LMChannelRealization:
@@ -231,12 +200,7 @@ def sample_lm_channel(cfg: SystemConfig, user: int, rng: np.random.Generator) ->
         raise ValueError(f"user must lie in [1, U={cfg.U}], got {user}")
     n_paths = int(rng.integers(LM_PATH_RANGE[0], LM_PATH_RANGE[1] + 1))
     delays = _draw_delay_taps(n_paths, cfg.l_max, rng)
-    scale = np.sqrt(0.5 / n_paths)
-    gains = scale * (
-        rng.standard_normal((n_paths, cfg.A)) + 1j * rng.standard_normal((n_paths, cfg.A))
-    )
-    paths = tuple(LMPath(int(delays[p]), gains[p]) for p in range(n_paths))
-    return LMChannelRealization(user, paths)
+    return LMChannelRealization(user, delays, _beamformed_gains(n_paths, cfg.A, rng))
 
 
 def without_fractional_doppler(ch: HMChannelRealization) -> HMChannelRealization:
@@ -245,10 +209,7 @@ def without_fractional_doppler(ch: HMChannelRealization) -> HMChannelRealization
     Same taps and gains; only the offsets change, so comparing against
     the original isolates the cost of fractional Doppler.
     """
-    return HMChannelRealization(
-        tuple(replace(p, fractional_doppler=0.0) for p in ch.paths),
-        ch.subpath_halfwidth,
-    )
+    return replace(ch, kappa=np.zeros_like(ch.kappa))
 
 
 # === dense matrices ==================================================
@@ -263,9 +224,9 @@ def _shift_columns(n_doppler: int, n_delay: int, doppler_shift: int, delay_shift
 
 
 def hm_channel_matrices(
-    ch: HMChannelRealization, antenna: int, n_doppler: int, n_delay: int
+    ch: HMChannelRealization, n_doppler: int, n_delay: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (main, idi, full) channel matrices for one antenna.
+    """Dense (main, idi, full) channel matrices.
 
     Each subpath contributes a scaled cyclic shift: Doppler by
     k_p - q, delay by l_p.  The full matrix is the exact sum of the
@@ -275,30 +236,25 @@ def hm_channel_matrices(
     main = np.zeros((nm, nm), dtype=complex)
     idi = np.zeros((nm, nm), dtype=complex)
     rows = np.arange(nm)
-    for path in ch.paths:
-        base = path.gains[antenna] * _tap_phase(
-            path.doppler_tap, path.fractional_doppler, path.delay_tap, n_doppler, n_delay
-        )
+    bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
+    for doppler, delay, kappa, base in zip(ch.doppler, ch.delay, ch.kappa, bases):
         for q in range(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1):
-            coeff = base * subpath_ratio(q, path.fractional_doppler, n_doppler)
+            coeff = base * subpath_ratio(q, kappa, n_doppler)
             if coeff == 0:
                 continue
-            cols = _shift_columns(n_doppler, n_delay, path.doppler_tap - q, path.delay_tap)
+            cols = _shift_columns(n_doppler, n_delay, doppler - q, delay)
             target = main if q == 0 else idi
             target[rows, cols] += coeff
     return main, idi, main + idi
 
 
-def lm_channel_matrix(
-    ch: LMChannelRealization, antenna: int, n_doppler: int, n_delay: int
-) -> np.ndarray:
-    """Dense delay-only channel matrix for one antenna."""
+def lm_channel_matrix(ch: LMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
+    """Dense delay-only channel matrix."""
     nm = n_doppler * n_delay
     h = np.zeros((nm, nm), dtype=complex)
     rows = np.arange(nm)
-    for path in ch.paths:
-        cols = _shift_columns(n_doppler, n_delay, 0, path.delay_tap)
-        h[rows, cols] += path.gains[antenna]
+    for delay, gain in zip(ch.delay, ch.gain):
+        h[rows, _shift_columns(n_doppler, n_delay, 0, delay)] += gain
     return h
 
 
@@ -314,77 +270,54 @@ def _dft_phase_table(n: int) -> np.ndarray:
     return table
 
 
-def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> EigenSpectra:
-    """Eigenvalue spectra of the (main, idi, full) matrices, all antennas.
+def _doppler_responses(ch: HMChannelRealization, n_doppler: int) -> tuple[np.ndarray, np.ndarray]:
+    """Doppler-shift eigenvalues (N, L_0, Q) of every subpath and the
+    leakage ratios (L_0, Q), subpath offsets q = -N_p..N_p along Q."""
+    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    ratios = _subpath_ratios(qs, ch.kappa[:, None], n_doppler)
+    resp = _dft_phase_table(n_doppler)[:, (ch.doppler[:, None] - qs) % n_doppler]
+    return resp, ratios
+
+
+def _path_sum(ch: HMChannelRealization, dopp: np.ndarray, n_delay: int) -> np.ndarray:
+    """Spectrum of the paths given their Doppler responses dopp (N, L_0).
 
     A cyclic shift by (dk, dl) has eigenvalue
     exp(-2j*pi*(m_del*dl/M + m_dopp*dk/N)) at spectral index
-    i = m_del*N + m_dopp, so each spectrum is a small sum of phase-table
-    rows; no dense matrix is formed.  lambda_full sums every subpath
-    independently rather than adding the other two arrays.
+    i = m_del*N + m_dopp, so the spectrum is a small sum of phase-table
+    rows weighted by the path gains.
     """
-    n_paths = len(ch.paths)
-    n_ant = ch.n_antennas
-    table_n = _dft_phase_table(n_doppler)
-    table_m = _dft_phase_table(n_delay)
-    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    n_doppler = dopp.shape[0]
+    weight = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
+    delay_resp = _dft_phase_table(n_delay)[:, ch.delay % n_delay]  # (M, L_0)
+    return ((delay_resp * weight) @ dopp.T).reshape(n_delay * n_doppler)
+
+
+def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> EigenSpectra:
+    """Eigenvalue spectra of the main and idi matrices; no dense matrix
+    is formed."""
+    resp, ratios = _doppler_responses(ch, n_doppler)
     q0 = ch.subpath_halfwidth
-
-    dopp_main = np.empty((n_paths, n_doppler), dtype=complex)
-    dopp_idi = np.empty((n_paths, n_doppler), dtype=complex)
-    dopp_full = np.empty((n_paths, n_doppler), dtype=complex)
-    delay_resp = np.empty((n_paths, n_delay), dtype=complex)
-    weights = np.empty((n_paths, n_ant), dtype=complex)
-
-    for idx, path in enumerate(ch.paths):
-        ratios = _subpath_ratios(qs, path.fractional_doppler, n_doppler)
-        resp = table_n[:, (path.doppler_tap - qs) % n_doppler]  # (N, Q)
-        dopp_main[idx] = resp[:, q0] * ratios[q0]
-        leak = ratios.copy()
-        leak[q0] = 0.0
-        dopp_idi[idx] = resp @ leak
-        dopp_full[idx] = resp @ ratios
-        delay_resp[idx] = table_m[:, path.delay_tap % n_delay]
-        weights[idx] = path.gains * _tap_phase(
-            path.doppler_tap, path.fractional_doppler, path.delay_tap, n_doppler, n_delay
-        )
-
-    def accumulate(dopp: np.ndarray) -> np.ndarray:
-        lam = np.einsum("pa,pm,pn->amn", weights, delay_resp, dopp)
-        return lam.reshape(n_ant, n_delay * n_doppler)
-
-    return EigenSpectra(accumulate(dopp_main), accumulate(dopp_idi), accumulate(dopp_full))
+    leak = ratios.copy()
+    leak[:, q0] = 0.0
+    main = resp[:, :, q0] * ratios[:, q0]
+    idi = np.einsum("nlq,lq->nl", resp, leak)
+    return EigenSpectra(_path_sum(ch, main, n_delay), _path_sum(ch, idi, n_delay))
 
 
 def lm_eigen_spectrum(ch: LMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
-    """Eigenvalue spectrum of an LM channel, shape (A, N*M).
+    """Eigenvalue spectrum of an LM channel, shape (N*M,).
 
     Delay-only shifts make the spectrum constant along the Doppler
     frequency axis.
     """
-    table_m = _dft_phase_table(n_delay)
-    gains = np.stack([p.gains for p in ch.paths])  # (P, A)
-    delay_resp = table_m[:, [p.delay_tap % n_delay for p in ch.paths]]  # (M, P)
-    lam_delay = delay_resp @ gains  # (M, A)
-    lam = np.repeat(lam_delay.T[:, :, None], n_doppler, axis=2)  # (A, M, N)
-    return lam.reshape(ch.n_antennas, n_delay * n_doppler)
+    lam_delay = _dft_phase_table(n_delay)[:, ch.delay % n_delay] @ ch.gain  # (M,)
+    return np.repeat(lam_delay, n_doppler)
 
 
 # === per-subcarrier gains ============================================
 
 
-def lm_subchannel_gain(ch: LMChannelRealization, antenna: int, subcarrier: int, n_delay: int) -> complex:
-    """Frequency response of one LM channel at one subcarrier."""
-    total = 0.0 + 0.0j
-    for path in ch.paths:
-        total += path.gains[antenna] * np.exp(2j * np.pi * path.delay_tap * subcarrier / n_delay)
-    return total
-
-
-def lm_subchannel_gains(ch: LMChannelRealization, subcarrier: int, n_delay: int) -> np.ndarray:
-    """Per-antenna frequency response at one subcarrier, shape (A,)."""
-    gains = np.stack([p.gains for p in ch.paths])  # (P, A)
-    phases = np.exp(
-        2j * np.pi * np.array([p.delay_tap for p in ch.paths]) * subcarrier / n_delay
-    )
-    return phases @ gains
+def lm_subchannel_gains(ch: LMChannelRealization, subcarrier: int, n_delay: int) -> complex:
+    """Beamformed frequency response of an LM channel at one subcarrier."""
+    return np.exp(2j * np.pi * ch.delay * subcarrier / n_delay) @ ch.gain

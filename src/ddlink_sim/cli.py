@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, SystemConfig, ValidationError, load_config
 from .simkit import SweepSummary, run_sweep
-from .validation import format_check, run_validation
+from .validation import run_validation
 
 _SWEEP_P0_VALUES = (0.5, 0.8)
 _OUTAGE_THRESHOLDS = (0.3, 0.6)

@@ -12,6 +12,10 @@ _MODES = ("real", "ideal", "both")
 _UINT64_MAX = 2**64 - 1
 
 
+def db_to_linear(db: float) -> float:
+    return float(10.0 ** (db / 10.0))
+
+
 class ConfigError(ValueError):
     """Base class for configuration problems."""
 
@@ -121,6 +125,13 @@ class SystemConfig:
             raise ValidationError("rho_T_grid must contain at least one point")
         if not all(math.isfinite(x) for x in self.rho_T_grid):
             raise ValidationError("rho_T_grid entries must be finite")
+        for db in self.rho_T_grid:
+            try:
+                db_to_linear(db)
+            except OverflowError:
+                raise ValidationError(
+                    f"rho_T_grid entry {db!r} dB overflows as a linear SNR"
+                ) from None
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _UINT64_MAX:
             raise ValidationError(
                 f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}"

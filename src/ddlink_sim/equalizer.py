@@ -1,12 +1,12 @@
 """MMSE detection spectra and closed-form link SNRs.
 
-The HM receiver equalizes in the spectral domain: the combined desired
+The HM receiver equalizes in the spectral domain: the beamformed desired
 channel diagonalizes to one complex eigenvalue per spectral bin, the
-regularized inverse of that diagonal is the whole equalizer, and every
-average power the SNR formulas need reduces to a mean over the bins.
-`empirical_hm_sinr` is the independent cross-check: it runs actual
-symbols through the dense channel matrices and a dense least-squares
-equalizer and measures the same ratio from the samples.
+regularized inverse of that diagonal (the array `delta`) is the whole
+equalizer, and every average power the SNR formulas need reduces to a
+mean over the bins.  `empirical_hm_sinr` is the independent cross-check:
+it runs actual symbols through the dense channel matrices and a dense
+least-squares equalizer and measures the same ratio from the samples.
 """
 
 from dataclasses import dataclass
@@ -24,15 +24,6 @@ from .config import SystemConfig
 
 class DegenerateSpectrum(ValueError):
     """Raised when every equalizer coefficient is zero (dead channel)."""
-
-
-@dataclass(frozen=True)
-class EqualizerSpectrum:
-    """Diagonal MMSE equalizer in the spectral domain."""
-
-    delta: np.ndarray
-    regularizer: float
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,36 +57,24 @@ class EmpiricalSinr:
     n_frames: int
 
 
-def uniform_weights(n_antennas: int) -> np.ndarray:
-    """Unit-power transmit weights, identical on every antenna."""
-    return np.full(n_antennas, 1.0 / np.sqrt(n_antennas), dtype=complex)
+def mmse_spectrum(eigenvalues: np.ndarray, regularizer: float) -> np.ndarray:
+    """Regularized inverse of the per-bin eigenvalue.
 
-
-def mmse_spectrum(eigenvalues: np.ndarray, weights: np.ndarray, regularizer: float) -> EqualizerSpectrum:
-    """Regularized inverse of the combined per-bin eigenvalue.
-
-    delta_i = conj(c_i) / (|c_i|^2 + rho) with c_i the weighted sum of
-    the per-antenna eigenvalues.  Bins with c_i = 0 get delta_i = 0.
+    delta_i = conj(c_i) / (|c_i|^2 + rho).  Bins with c_i = 0 get
+    delta_i = 0.
     """
     if regularizer <= 0:
         raise ValueError(f"regularizer must be > 0, got {regularizer!r}")
-    combined = weights @ eigenvalues
-    delta = np.conj(combined) / (np.abs(combined) ** 2 + regularizer)
-    return EqualizerSpectrum(delta, float(regularizer), np.asarray(weights, dtype=complex))
+    return np.conj(eigenvalues) / (np.abs(eigenvalues) ** 2 + regularizer)
 
 
 def detection_power_terms(
-    spectrum: EqualizerSpectrum,
-    lambda_main: np.ndarray,
-    lambda_idi: np.ndarray,
-    weights: np.ndarray,
+    delta: np.ndarray, lambda_main: np.ndarray, lambda_idi: np.ndarray
 ) -> DetectionPowerTerms:
     """Average the equalized channel energies over the spectral grid."""
-    c_main = weights @ lambda_main
-    c_idi = weights @ lambda_idi
-    desired = float(np.mean(np.abs(spectrum.delta * c_main) ** 2))
-    leakage = float(np.mean(np.abs(spectrum.delta * c_idi) ** 2))
-    noise = float(np.mean(np.abs(spectrum.delta) ** 2))
+    desired = float(np.mean(np.abs(delta * lambda_main) ** 2))
+    leakage = float(np.mean(np.abs(delta * lambda_idi) ** 2))
+    noise = float(np.mean(np.abs(delta) ** 2))
     return DetectionPowerTerms(desired, leakage, noise)
 
 
@@ -113,28 +92,15 @@ def hm_detection_snr(terms: DetectionPowerTerms, p0: float, rho_t: float) -> flo
     return signal / ((1.0 - p0) * rho_t * terms.desired + rho_t * terms.leakage + terms.noise)
 
 
-def hm_at_lm_power_terms(
-    spectrum: EqualizerSpectrum, eigenvalues: np.ndarray, weights: np.ndarray
-) -> tuple[float, float]:
-    """(forward, noise) energies for detecting the HM signal at an LM user."""
-    combined = weights @ eigenvalues
-    forward = float(np.mean(np.abs(spectrum.delta) ** 2 * np.abs(combined) ** 2))
-    noise = float(np.mean(np.abs(spectrum.delta) ** 2))
-    return forward, noise
-
-
-def hm_at_lm_snr(
-    spectrum: EqualizerSpectrum,
-    eigenvalues: np.ndarray,
-    weights: np.ndarray,
-    p0: float,
-    rho_t: float,
-) -> float:
+def hm_at_lm_snr(delta: np.ndarray, eigenvalues: np.ndarray, p0: float, rho_t: float) -> float:
     """SNR of the HM signal detected (for cancellation) at an LM user.
 
-    The remaining users' aggregate share 1 - p0 is the interference.
+    The forward energy is that of the equalized channel; the remaining
+    users' aggregate share 1 - p0 is the interference.
     """
-    forward, noise = hm_at_lm_power_terms(spectrum, eigenvalues, weights)
+    noise_gain = np.abs(delta) ** 2
+    forward = float(np.mean(noise_gain * np.abs(eigenvalues) ** 2))
+    noise = float(np.mean(noise_gain))
     if noise == 0.0:
         raise DegenerateSpectrum("all equalizer coefficients are zero")
     return p0 * rho_t * forward / ((1.0 - p0) * rho_t * forward + noise)
@@ -148,18 +114,16 @@ def lm_detection_snr(power_share: float, rho_t: float, subchannel_gain: complex)
 
 
 def spectral_decomposition_residual(
-    spectrum: EqualizerSpectrum, spectra: EigenSpectra, weights: np.ndarray
+    delta: np.ndarray, spectra: EigenSpectra, lambda_full: np.ndarray
 ) -> float:
     """Relative error of the equalized full spectrum against its split.
 
-    Compares delta * c_full per bin with the sum of the equalized main
-    and leakage images; exact up to rounding when the spectra come from
-    the same realization.
+    Compares delta * lambda_full per bin with the sum of the equalized
+    main and leakage images; exact up to rounding when the spectra come
+    from the same realization.
     """
-    total = spectrum.delta * (weights @ spectra.lambda_full)
-    parts = spectrum.delta * (weights @ spectra.lambda_main) + spectrum.delta * (
-        weights @ spectra.lambda_idi
-    )
+    total = delta * lambda_full
+    parts = delta * spectra.lambda_main + delta * spectra.lambda_idi
     num = float(np.abs(total - parts).max())
     if num == 0.0:
         return 0.0
@@ -177,7 +141,6 @@ def empirical_hm_sinr(
     rho_t: float,
     rng: np.random.Generator,
     n_symbols: int = 100_000,
-    weights: np.ndarray | None = None,
 ) -> EmpiricalSinr:
     """Measure the HM detection SINR from transmitted symbols.
 
@@ -193,20 +156,13 @@ def empirical_hm_sinr(
 
     n, m = cfg.N, cfg.M
     nm = n * m
-    v = uniform_weights(cfg.A) if weights is None else np.asarray(weights, dtype=complex)
-
-    h_main = np.zeros((nm, nm), dtype=complex)
-    h_full = np.zeros((nm, nm), dtype=complex)
-    for antenna in range(cfg.A):
-        main_a, _, full_a = hm_channel_matrices(ch, antenna, n, m)
-        h_main += v[antenna] * main_a
-        h_full += v[antenna] * full_a
+    h_main, _, h_full = hm_channel_matrices(ch, n, m)
 
     gram = h_main.conj().T @ h_main + cfg.rho * np.eye(nm)
     equalizer = np.linalg.solve(gram, h_main.conj().T)
     signal_map = equalizer @ h_main
 
-    gains = np.array([v @ lm_subchannel_gains(lm, lm.user - 1, m) for lm in lm_channels])
+    gains = np.array([lm_subchannel_gains(lm, lm.user - 1, m) for lm in lm_channels])
     shares = allocate_power(cfg.p0, gains).shares
     amp = np.sqrt(shares)
 

@@ -1,11 +1,11 @@
-"""Delay-Doppler grid containers and spectral transforms.
+"""Kronecker DFT basis of the delay-Doppler vector layout.
 
-A frame of symbols lives on a delay-Doppler (DD) grid with N Doppler rows
-and M delay columns.  Frames move to the time-frequency (TF) grid through
-the symplectic transform pair `isfft`/`sfft`, and the matched vector layout
-(index k + N*l, so each delay column is one contiguous block) makes every
-twisted-convolution channel matrix block circulant.  Those matrices are
-diagonalized by the Kronecker DFT basis returned by `build_basis`.
+A frame of symbols on the delay-Doppler grid (N Doppler rows, M delay
+columns) is stacked column by column, so entry k + N*l holds cell
+(k, l) and each delay column is one contiguous block.  Under that layout
+every twisted-convolution channel matrix is block circulant and is
+diagonalized by the basis returned by `build_basis`; `diagonalize_bccb`
+is the dense reference the fast spectra are checked against.
 """
 
 from dataclasses import dataclass
@@ -21,81 +21,6 @@ class NotBlockCirculant(ValueError):
     """Raised when a matrix fails the block-circulant diagonalization test."""
 
 
-def _validated_grid(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"grid data must be a non-empty 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("grid entries must be finite")
-    return arr
-
-
-@dataclass(frozen=True)
-class DDGrid:
-    """One frame on the delay-Doppler grid.
-
-    Rows index Doppler (k = 0..N-1), columns index delay (l = 0..M-1).
-    Treated as immutable after construction.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _validated_grid(self.data))
-
-    @property
-    def n_doppler(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_delay(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class TFGrid:
-    """One frame on the time-frequency grid.
-
-    Rows index time slots (n = 0..N-1), columns index subcarriers
-    (m = 0..M-1).
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _validated_grid(self.data))
-
-    @property
-    def n_slots(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class DDVector:
-    """A vectorized DD frame, entry k + N*l holding grid cell (k, l)."""
-
-    data: np.ndarray
-    n_doppler: int
-    n_delay: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.ndim != 1:
-            raise ValueError(f"vector data must be 1-D, got shape {arr.shape}")
-        if arr.size != self.n_doppler * self.n_delay:
-            raise ValueError(
-                f"vector length {arr.size} not equal to N*M = "
-                f"{self.n_doppler * self.n_delay}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("vector entries must be finite")
-        object.__setattr__(self, "data", arr)
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """Unitary Kronecker DFT basis for the k + N*l vector layout."""
@@ -103,36 +28,6 @@ class SpectralBasis:
     n_doppler: int
     n_delay: int
     psi: np.ndarray
-
-
-# === transforms ======================================================
-
-
-def isfft(dd: DDGrid) -> TFGrid:
-    """Map a DD frame to the TF grid.
-
-    out[n, m] = (1/(N*M)) * sum_{k,l} dd[k,l] * exp(j*2*pi*(k*n/N - m*l/M))
-
-    The 1/(N*M) front factor makes the pair non-unitary (energy is not
-    preserved); `sfft` applies the exact inverse scaling so round trips
-    are lossless.
-    """
-    return TFGrid(np.fft.fft(np.fft.ifft(dd.data, axis=0), axis=1) / dd.n_delay)
-
-
-def sfft(tf: TFGrid) -> DDGrid:
-    """Map a TF frame back to the DD grid.  Exact inverse of `isfft`."""
-    return DDGrid(np.fft.fft(np.fft.ifft(tf.data, axis=1), axis=0) * tf.n_subcarriers)
-
-
-def vectorize(grid: DDGrid) -> DDVector:
-    """Stack a DD frame column by column: entry k + N*l is grid cell (k, l)."""
-    return DDVector(grid.data.flatten(order="F"), grid.n_doppler, grid.n_delay)
-
-
-def devectorize(vec: DDVector) -> DDGrid:
-    """Inverse of `vectorize`."""
-    return DDGrid(vec.data.reshape((vec.n_doppler, vec.n_delay), order="F"))
 
 
 # === block-circulant diagonalization =================================
@@ -148,7 +43,7 @@ def build_basis(n_doppler: int, n_delay: int) -> SpectralBasis:
 
     The delay-domain DFT factor sits outermost so that column j = k + N*l
     of the basis sees the N-point Doppler factor inside each length-N
-    delay block, matching the `vectorize` layout.  Spectral index
+    delay block, matching the k + N*l layout.  Spectral index
     i = m_del*N + m_dopp pairs delay frequency m_del with Doppler
     frequency m_dopp.
     """

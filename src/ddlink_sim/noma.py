@@ -1,11 +1,10 @@
-"""Power-domain user multiplexing: allocation, superposition, rates."""
+"""Power-domain user multiplexing: power allocation and rates."""
 
 import numpy as np
 
 from dataclasses import dataclass
 
 from .equalizer import LinkSnrs
-from .grids import DDGrid, DDVector, TFGrid, sfft
 
 
 class ZeroGain(ValueError):
@@ -61,35 +60,6 @@ def allocate_power(hm_share: float, subchannel_gains: np.ndarray) -> PowerAlloca
     inverse = 1.0 / magnitudes
     lm_shares = (1.0 - hm_share) * inverse / inverse.sum()
     return PowerAllocation(np.concatenate(([hm_share], lm_shares)))
-
-
-def superpose(signals, allocation: PowerAllocation) -> DDVector:
-    """Weighted sum sum_u sqrt(p_u) * s_u of the users' DD vectors."""
-    if len(signals) != allocation.shares.size:
-        raise ValueError(
-            f"got {len(signals)} signals for {allocation.shares.size} power shares"
-        )
-    first = signals[0]
-    total = np.zeros_like(first.data)
-    for share, sig in zip(allocation.shares, signals):
-        if (sig.n_doppler, sig.n_delay) != (first.n_doppler, first.n_delay):
-            raise ValueError("all signals must share the same grid dimensions")
-        total = total + np.sqrt(share) * sig.data
-    return DDVector(total, first.n_doppler, first.n_delay)
-
-
-def embed_lm_subcarrier(symbols: np.ndarray, user: int, n_doppler: int, n_delay: int) -> DDGrid:
-    """Place one LM user's time-slot symbols on its dedicated subcarrier
-    (column user - 1 of the TF grid, zero elsewhere) and move the frame
-    to the DD domain."""
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.shape != (n_doppler,):
-        raise ValueError(f"expected {n_doppler} time-slot symbols, got shape {symbols.shape}")
-    if not 1 <= user <= n_delay:
-        raise ValueError(f"user must lie in [1, {n_delay}], got {user}")
-    tf = np.zeros((n_doppler, n_delay), dtype=complex)
-    tf[:, user - 1] = symbols
-    return sfft(TFGrid(tf))
 
 
 def spectral_efficiency(snr: float) -> float:

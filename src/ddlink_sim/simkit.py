@@ -21,7 +21,7 @@ from .channel import (
     sample_lm_channel,
     without_fractional_doppler,
 )
-from .config import SystemConfig
+from .config import SystemConfig, db_to_linear
 from .equalizer import (
     LinkSnrs,
     detection_power_terms,
@@ -29,7 +29,6 @@ from .equalizer import (
     hm_detection_snr,
     lm_detection_snr,
     mmse_spectrum,
-    uniform_weights,
 )
 from .noma import UserRates, allocate_power, assemble_rates
 
@@ -59,10 +58,6 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
     return acc
 
 
-def db_to_linear(db: float) -> float:
-    return float(10.0 ** (db / 10.0))
-
-
 # === single trial ====================================================
 
 
@@ -85,10 +80,10 @@ class TrialResult:
             raise ValueError("at least one trial member must be present")
 
 
-def _hm_rate(cfg: SystemConfig, ch, weights: np.ndarray, rho_t: float) -> float:
+def _hm_rate(cfg: SystemConfig, ch, rho_t: float) -> float:
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    spectrum = mmse_spectrum(spectra.lambda_main, weights, cfg.rho)
-    terms = detection_power_terms(spectrum, spectra.lambda_main, spectra.lambda_idi, weights)
+    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+    terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
     return hm_detection_snr(terms, cfg.p0, rho_t)
 
 
@@ -101,31 +96,30 @@ def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int, trial_index: 
     """
     rng = np.random.default_rng(trial_seed)
     rho_t = db_to_linear(rho_t_db)
-    weights = uniform_weights(cfg.A)
 
     hm = sample_hm_channel(cfg, rng)
     lm_channels = [sample_lm_channel(cfg, user, rng) for user in range(1, cfg.U + 1)]
 
-    gains = np.array([weights @ lm_subchannel_gains(lm, lm.user - 1, cfg.M) for lm in lm_channels])
+    gains = np.array([lm_subchannel_gains(lm, lm.user - 1, cfg.M) for lm in lm_channels])
     allocation = allocate_power(cfg.p0, gains)
 
     hm_at_lm = np.empty(cfg.U)
     lm = np.empty(cfg.U)
     for j, lm_ch in enumerate(lm_channels):
         lam_u = lm_eigen_spectrum(lm_ch, cfg.N, cfg.M)
-        spectrum_u = mmse_spectrum(lam_u, weights, cfg.rho)
-        hm_at_lm[j] = hm_at_lm_snr(spectrum_u, lam_u, weights, cfg.p0, rho_t)
+        delta_u = mmse_spectrum(lam_u, cfg.rho)
+        hm_at_lm[j] = hm_at_lm_snr(delta_u, lam_u, cfg.p0, rho_t)
         lm[j] = lm_detection_snr(allocation.shares[j + 1], rho_t, gains[j])
 
     rates_real = None
     rates_ideal = None
     if cfg.mode in ("real", "both"):
-        snr_real = _hm_rate(cfg, hm, weights, rho_t)
+        snr_real = _hm_rate(cfg, hm, rho_t)
         rates_real = assemble_rates(
             LinkSnrs(snr_real, hm_at_lm, lm), cfg.lm_min_includes_hm_stage
         )
     if cfg.mode in ("ideal", "both"):
-        snr_ideal = _hm_rate(cfg, without_fractional_doppler(hm), weights, rho_t)
+        snr_ideal = _hm_rate(cfg, without_fractional_doppler(hm), rho_t)
         rates_ideal = assemble_rates(
             LinkSnrs(snr_ideal, hm_at_lm, lm), cfg.lm_min_includes_hm_stage
         )

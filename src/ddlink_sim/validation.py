@@ -18,23 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    HMChannelRealization,
+    _doppler_responses,
+    _path_sum,
     hm_channel_matrices,
     hm_eigen_spectra,
     sample_hm_channel,
     sample_lm_channel,
     subpath_ratio,
 )
-from .config import SystemConfig, load_config
+from .config import SystemConfig, db_to_linear, load_config
 from .equalizer import (
     detection_power_terms,
     empirical_hm_sinr,
     hm_detection_snr,
     mmse_spectrum,
     spectral_decomposition_residual,
-    uniform_weights,
 )
 from .grids import NotBlockCirculant, build_basis, diagonalize_bccb
-from .simkit import db_to_linear, derive_trial_seed
+from .simkit import derive_trial_seed
 
 # Reserved seed-point indices, far above any sweep-grid index, so the
 # validation draws never collide with simulation draws.
@@ -89,6 +91,13 @@ def _sized_config(cfg: SystemConfig, n: int) -> SystemConfig:
     )
 
 
+def full_spectrum(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
+    """Spectrum of the whole truncated channel, every subpath summed at
+    once rather than split into its main and leakage parts."""
+    resp, ratios = _doppler_responses(ch, n_doppler)
+    return _path_sum(ch, np.einsum("nlq,lq->nl", resp, ratios), n_delay)
+
+
 def check_dense_vs_fast(cfg: SystemConfig, n_realizations: int = 50) -> CheckResult:
     """Fast spectral path against dense construction plus diagonalization."""
     sizes = (4, 8, 16)
@@ -100,32 +109,28 @@ def check_dense_vs_fast(cfg: SystemConfig, n_realizations: int = 50) -> CheckRes
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 0, r))
         ch = sample_hm_channel(sub, rng)
         spectra = hm_eigen_spectra(ch, n, n)
-        fast_parts = (spectra.lambda_main, spectra.lambda_idi, spectra.lambda_full)
-        for antenna in range(sub.A):
-            dense_parts = hm_channel_matrices(ch, antenna, n, n)
-            for dense, fast in zip(dense_parts, fast_parts):
-                try:
-                    lam = diagonalize_bccb(dense, bases[n])
-                except NotBlockCirculant as exc:
-                    return CheckResult(
-                        "dense-vs-fast", False, float("inf"), 1e-9, "<=", str(exc)
-                    )
-                scale = max(np.abs(fast[antenna]).max(), np.abs(lam).max(), 1e-30)
-                worst = max(worst, np.abs(lam - fast[antenna]).max() / scale)
+        fast_parts = (spectra.lambda_main, spectra.lambda_idi, full_spectrum(ch, n, n))
+        for dense, fast in zip(hm_channel_matrices(ch, n, n), fast_parts):
+            try:
+                lam = diagonalize_bccb(dense, bases[n])
+            except NotBlockCirculant as exc:
+                return CheckResult("dense-vs-fast", False, float("inf"), 1e-9, "<=", str(exc))
+            scale = max(np.abs(fast).max(), np.abs(lam).max(), 1e-30)
+            worst = max(worst, np.abs(lam - fast).max() / scale)
     detail = f"max relative deviation over {n_realizations} realizations, sizes {sizes}"
     return _result("dense-vs-fast", worst, 1e-9, "<=", detail)
 
 
 def check_spectral_split(cfg: SystemConfig, n_realizations: int = 50) -> CheckResult:
     """Equalized full spectrum against the desired + leakage split."""
-    weights = uniform_weights(cfg.A)
     worst = 0.0
     for r in range(n_realizations):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 1, r))
         ch = sample_hm_channel(cfg, rng)
         spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-        spectrum = mmse_spectrum(spectra.lambda_main, weights, cfg.rho)
-        worst = max(worst, spectral_decomposition_residual(spectrum, spectra, weights))
+        delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+        lambda_full = full_spectrum(ch, cfg.N, cfg.M)
+        worst = max(worst, spectral_decomposition_residual(delta, spectra, lambda_full))
     detail = f"max relative residual over {n_realizations} realizations"
     return _result("spectral-split", worst, 1e-12, "<=", detail)
 
@@ -157,15 +162,14 @@ def check_empirical_sinr(
     """Closed-form detection SNR against the signal-level measurement."""
     sub = cfg.replace(p0=0.5)
     rho_t = db_to_linear(10.0)
-    weights = uniform_weights(sub.A)
     worst = 0.0
     for r in range(n_realizations):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 3, r))
         hm = sample_hm_channel(sub, rng)
         lm_channels = [sample_lm_channel(sub, user, rng) for user in range(1, sub.U + 1)]
         spectra = hm_eigen_spectra(hm, sub.N, sub.M)
-        spectrum = mmse_spectrum(spectra.lambda_main, weights, sub.rho)
-        terms = detection_power_terms(spectrum, spectra.lambda_main, spectra.lambda_idi, weights)
+        delta = mmse_spectrum(spectra.lambda_main, sub.rho)
+        terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
         analytic = hm_detection_snr(terms, sub.p0, rho_t)
         measured = empirical_hm_sinr(hm, lm_channels, sub, rho_t, rng, n_symbols=n_symbols)
         worst = max(worst, abs(measured.value - analytic) / analytic)
@@ -177,24 +181,24 @@ def check_empirical_sinr(
 
 
 def check_worked_example() -> CheckResult:
-    """Flat unit channel with four antennas, worked by hand.
+    """Flat channel worked by hand.
 
-    Combined eigenvalue 2 everywhere, so delta = 2/5, desired energy
-    (4/5)^2 = 0.64 and noise energy (2/5)^2 = 0.16.
+    Four unit-gain antennas at uniform weight combine to the eigenvalue
+    2 on every bin, so delta = 2/5, desired energy (4/5)^2 = 0.64 and
+    noise energy (2/5)^2 = 0.16.
     """
-    n_antennas, bins = 4, 256
-    lam_main = np.ones((n_antennas, bins), dtype=complex)
-    lam_idi = np.zeros((n_antennas, bins), dtype=complex)
-    weights = uniform_weights(n_antennas)
-    spectrum = mmse_spectrum(lam_main, weights, 1.0)
-    terms = detection_power_terms(spectrum, lam_main, lam_idi, weights)
+    bins = 256
+    lam_main = np.full(bins, 2.0, dtype=complex)
+    lam_idi = np.zeros(bins, dtype=complex)
+    delta = mmse_spectrum(lam_main, 1.0)
+    terms = detection_power_terms(delta, lam_main, lam_idi)
     worst = max(
-        float(np.abs(spectrum.delta - 0.4).max()),
+        float(np.abs(delta - 0.4).max()),
         abs(terms.desired - 0.64),
         abs(terms.leakage),
         abs(terms.noise - 0.16),
     )
-    return _result("worked-example", worst, 1e-12, "<=", "flat channel, A 4, rho 1")
+    return _result("worked-example", worst, 1e-12, "<=", "flat channel, eigenvalue 2, rho 1")
 
 
 # === suite ===========================================================

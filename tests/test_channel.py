@@ -5,24 +5,21 @@ import pytest
 
 from ddlink_sim.channel import (
     HMChannelRealization,
-    HMPath,
     LMChannelRealization,
-    LMPath,
     doppler_tap_span,
     hm_channel_matrices,
     hm_eigen_spectra,
     lm_channel_matrix,
     lm_eigen_spectrum,
-    lm_subchannel_gain,
     lm_subchannel_gains,
     sample_hm_channel,
     sample_lm_channel,
-    subpath_coefficient,
     subpath_ratio,
     without_fractional_doppler,
 )
 from ddlink_sim.config import SystemConfig
 from ddlink_sim.grids import build_basis, diagonalize_bccb
+from ddlink_sim.validation import full_spectrum
 
 
 def small_config(**changes):
@@ -67,23 +64,6 @@ def test_ratio_truncation_keeps_most_energy():
     assert energy >= 0.95
 
 
-def test_coefficient_phase_only_factor():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        nu = float(rng.uniform(-3000, 3000))
-        tau = float(rng.uniform(0, 1e-4))
-        q = int(rng.integers(-3, 4))
-        kappa = float(0.5 - rng.random())
-        h = subpath_coefficient(alpha, nu, tau, q, kappa, 16)
-        assert abs(abs(h) - abs(alpha) * abs(subpath_ratio(q, kappa, 16))) < 1e-12
-
-
-def test_coefficient_trivial_values():
-    assert subpath_coefficient(1.0, 0.0, 0.0, 0, 0.0, 16) == 1.0
-    assert subpath_coefficient(1.0, 123.0, 4.5e-5, 2, 0.0, 16) == 0.0
-
-
 # === sampling ========================================================
 
 
@@ -97,15 +77,14 @@ def test_hm_sampling_shapes_and_ranges():
     seen_taps = set()
     for _ in range(300):
         ch = sample_hm_channel(cfg, rng)
-        assert len(ch.paths) == cfg.L_0
+        for arr in (ch.doppler, ch.delay, ch.kappa, ch.gain):
+            assert arr.shape == (cfg.L_0,)
         assert ch.subpath_halfwidth == cfg.N_p
-        assert ch.paths[0].delay_tap == 0
-        for path in ch.paths:
-            assert -2 <= path.doppler_tap <= 2
-            assert 0 <= path.delay_tap <= cfg.l_max
-            assert -0.5 < path.fractional_doppler <= 0.5
-            assert path.gains.shape == (cfg.A,)
-            seen_taps.add(path.doppler_tap)
+        assert ch.delay[0] == 0
+        assert np.all((-2 <= ch.doppler) & (ch.doppler <= 2))
+        assert np.all((0 <= ch.delay) & (ch.delay <= cfg.l_max))
+        assert np.all((-0.5 < ch.kappa) & (ch.kappa <= 0.5))
+        seen_taps.update(int(k) for k in ch.doppler)
     assert seen_taps == {-2, -1, 0, 1, 2}
 
 
@@ -113,11 +92,8 @@ def test_hm_sampling_is_deterministic():
     cfg = SystemConfig()
     a = sample_hm_channel(cfg, np.random.default_rng(99))
     b = sample_hm_channel(cfg, np.random.default_rng(99))
-    for pa, pb in zip(a.paths, b.paths):
-        assert pa.doppler_tap == pb.doppler_tap
-        assert pa.delay_tap == pb.delay_tap
-        assert pa.fractional_doppler == pb.fractional_doppler
-        assert np.array_equal(pa.gains, pb.gains)
+    for field in ("doppler", "delay", "kappa", "gain"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_hm_gain_variance_matches_path_count():
@@ -126,7 +102,7 @@ def test_hm_gain_variance_matches_path_count():
     powers = []
     for _ in range(5000):
         ch = sample_hm_channel(cfg, rng)
-        powers.extend(np.abs(path.gains) ** 2 for path in ch.paths)
+        powers.extend(np.abs(ch.gain) ** 2)
     mean_power = float(np.mean(powers))
     assert abs(mean_power - 1.0 / cfg.L_0) < 0.02 / cfg.L_0
 
@@ -138,7 +114,8 @@ def test_lm_sampling_path_count_range():
     for user in range(1, 5):
         for _ in range(2500):
             ch = sample_lm_channel(cfg, user, rng)
-            counts.add(len(ch.paths))
+            counts.add(ch.gain.size)
+            assert ch.delay.shape == ch.gain.shape
             assert ch.user == user
     assert counts == {1, 2, 3, 4}
 
@@ -151,40 +128,51 @@ def test_lm_subchannel_power_is_normalized():
     draws = 25_000
     for _ in range(draws):
         ch = sample_lm_channel(cfg, 1, rng)
-        acc += float(np.mean(np.abs(lm_subchannel_gains(ch, 3, cfg.M)) ** 2))
+        acc += float(np.abs(lm_subchannel_gains(ch, 3, cfg.M)) ** 2)
     mean_power = acc / draws
     assert 0.97 <= mean_power <= 1.03
 
 
+def hm_channel(kappa=(0.0, 0.1), gain=(1.0, 1.0), halfwidth=3):
+    return HMChannelRealization([0, 1], [0, 2], list(kappa), np.array(gain, dtype=complex), halfwidth)
+
+
 def test_path_validation():
+    hm_channel()
     with pytest.raises(ValueError):
-        HMPath(0, 0, 0.75, np.ones(2, dtype=complex))
+        hm_channel(kappa=(0.0, 0.75))
     with pytest.raises(ValueError):
-        HMPath(0, 0, -0.5, np.ones(2, dtype=complex))
+        hm_channel(kappa=(-0.5, 0.1))
     with pytest.raises(ValueError):
-        HMPath(0, 0, 0.1, np.array([np.nan + 0j, 1.0]))
+        hm_channel(gain=(np.nan, 1.0))
     with pytest.raises(ValueError):
-        LMChannelRealization(0, (LMPath(0, np.ones(2, dtype=complex)),))
+        hm_channel(halfwidth=-1)
+    with pytest.raises(ValueError):
+        HMChannelRealization([], [], [], np.array([], dtype=complex), 3)
+    with pytest.raises(ValueError):
+        hm_channel(kappa=(0.0,))
+    with pytest.raises(ValueError):
+        LMChannelRealization(0, [0], np.ones(1, dtype=complex))
+    with pytest.raises(ValueError):
+        LMChannelRealization(1, [], np.array([], dtype=complex))
 
 
 def test_ideal_copy_zeroes_only_kappa():
     cfg = small_config()
     ch = sample_hm_channel(cfg, np.random.default_rng(53))
     ideal = without_fractional_doppler(ch)
-    for real_path, ideal_path in zip(ch.paths, ideal.paths):
-        assert ideal_path.fractional_doppler == 0.0
-        assert ideal_path.doppler_tap == real_path.doppler_tap
-        assert ideal_path.delay_tap == real_path.delay_tap
-        assert np.array_equal(ideal_path.gains, real_path.gains)
+    assert np.all(ideal.kappa == 0.0)
+    assert np.any(ch.kappa != 0.0)
+    for field in ("doppler", "delay", "gain"):
+        assert np.array_equal(getattr(ideal, field), getattr(ch, field))
 
 
 # === dense matrices and spectra ======================================
 
 
 def test_single_clean_path_gives_identity():
-    path = HMPath(0, 0, 0.0, np.array([1.0 + 0j]))
-    ch = HMChannelRealization((path,), 3)
-    main, idi, full = hm_channel_matrices(ch, 0, 8, 8)
+    ch = HMChannelRealization([0], [0], [0.0], np.array([1.0 + 0j]), 3)
+    main, idi, full = hm_channel_matrices(ch, 8, 8)
     assert np.array_equal(main, np.eye(64, dtype=complex))
     assert np.abs(idi).max() == 0.0
     assert np.array_equal(full, main)
@@ -196,9 +184,8 @@ def test_single_clean_path_gives_identity():
 def test_full_matrix_is_exact_sum_of_parts():
     cfg = small_config()
     ch = sample_hm_channel(cfg, np.random.default_rng(59))
-    for antenna in range(cfg.A):
-        main, idi, full = hm_channel_matrices(ch, antenna, cfg.N, cfg.M)
-        assert np.array_equal(full, main + idi)
+    main, idi, full = hm_channel_matrices(ch, cfg.N, cfg.M)
+    assert np.array_equal(full, main + idi)
 
 
 def test_ideal_spectra_have_zero_leakage():
@@ -214,17 +201,12 @@ def test_fast_spectra_match_dense_diagonalization():
         ch = sample_hm_channel(cfg, np.random.default_rng(seed))
         spectra = hm_eigen_spectra(ch, n, n)
         basis = build_basis(n, n)
-        for antenna in range(cfg.A):
-            dense = hm_channel_matrices(ch, antenna, n, n)
-            fast = (
-                spectra.lambda_main[antenna],
-                spectra.lambda_idi[antenna],
-                spectra.lambda_full[antenna],
-            )
-            for h, lam in zip(dense, fast):
-                oracle = diagonalize_bccb(h, basis)
-                scale = max(np.abs(oracle).max(), 1e-30)
-                assert np.abs(oracle - lam).max() / scale < 1e-9
+        dense = hm_channel_matrices(ch, n, n)
+        fast = (spectra.lambda_main, spectra.lambda_idi, full_spectrum(ch, n, n))
+        for h, lam in zip(dense, fast):
+            oracle = diagonalize_bccb(h, basis)
+            scale = max(np.abs(oracle).max(), 1e-30)
+            assert np.abs(oracle - lam).max() / scale < 1e-9
 
 
 def test_spectral_split_identity():
@@ -232,60 +214,46 @@ def test_spectral_split_identity():
     for seed in range(5):
         ch = sample_hm_channel(cfg, np.random.default_rng(400 + seed))
         spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-        residual = np.abs(
-            spectra.lambda_full - spectra.lambda_main - spectra.lambda_idi
-        ).max()
-        assert residual <= 1e-10 * max(np.abs(spectra.lambda_full).max(), 1.0)
+        lambda_full = full_spectrum(ch, cfg.N, cfg.M)
+        residual = np.abs(lambda_full - spectra.lambda_main - spectra.lambda_idi).max()
+        assert residual <= 1e-10 * max(np.abs(lambda_full).max(), 1.0)
 
 
 def test_lm_spectrum_matches_dense_matrix():
     cfg = small_config()
     ch = sample_lm_channel(cfg, 2, np.random.default_rng(73))
     lam = lm_eigen_spectrum(ch, cfg.N, cfg.M)
-    basis = build_basis(cfg.N, cfg.M)
-    for antenna in range(cfg.A):
-        dense = lm_channel_matrix(ch, antenna, cfg.N, cfg.M)
-        oracle = diagonalize_bccb(dense, basis)
-        assert np.abs(oracle - lam[antenna]).max() < 1e-9 * max(np.abs(oracle).max(), 1.0)
+    oracle = diagonalize_bccb(lm_channel_matrix(ch, cfg.N, cfg.M), build_basis(cfg.N, cfg.M))
+    assert np.abs(oracle - lam).max() < 1e-9 * max(np.abs(oracle).max(), 1.0)
 
 
 def test_lm_spectrum_is_constant_along_doppler():
     cfg = small_config()
     ch = sample_lm_channel(cfg, 1, np.random.default_rng(79))
-    lam = lm_eigen_spectrum(ch, cfg.N, cfg.M).reshape(cfg.A, cfg.M, cfg.N)
-    assert np.abs(lam - lam[:, :, :1]).max() < 1e-12
+    lam = lm_eigen_spectrum(ch, cfg.N, cfg.M).reshape(cfg.M, cfg.N)
+    assert np.abs(lam - lam[:, :1]).max() < 1e-12
 
 
 # === LM subchannel gains =============================================
 
 
 def test_lm_gain_single_path_is_flat():
-    ch = LMChannelRealization(1, (LMPath(0, np.array([1.0 + 0j])),))
+    ch = LMChannelRealization(1, [0], np.array([1.0 + 0j]))
     for m in range(8):
-        assert abs(lm_subchannel_gain(ch, 0, m, 8) - 1.0) < 1e-12
+        assert abs(lm_subchannel_gains(ch, m, 8) - 1.0) < 1e-12
 
 
 def test_lm_gain_two_path_comb():
-    ch = LMChannelRealization(
-        1, (LMPath(0, np.array([1.0 + 0j])), LMPath(8, np.array([1.0 + 0j])))
-    )
+    ch = LMChannelRealization(1, [0, 8], np.array([1.0 + 0j, 1.0 + 0j]))
     for m in range(16):
         expected = 2.0 if m % 2 == 0 else 0.0
-        assert abs(lm_subchannel_gain(ch, 0, m, 16) - expected) < 1e-12
+        assert abs(lm_subchannel_gains(ch, m, 16) - expected) < 1e-12
 
 
 def test_lm_gain_periodic_in_subcarrier():
     cfg = small_config()
     ch = sample_lm_channel(cfg, 3, np.random.default_rng(83))
     for m in range(cfg.M):
-        a = lm_subchannel_gain(ch, 0, m, cfg.M)
-        b = lm_subchannel_gain(ch, 0, m + cfg.M, cfg.M)
+        a = lm_subchannel_gains(ch, m, cfg.M)
+        b = lm_subchannel_gains(ch, m + cfg.M, cfg.M)
         assert abs(a - b) < 1e-12
-
-
-def test_lm_gains_vector_matches_scalar():
-    cfg = small_config()
-    ch = sample_lm_channel(cfg, 2, np.random.default_rng(89))
-    gains = lm_subchannel_gains(ch, 5, cfg.M)
-    for antenna in range(cfg.A):
-        assert abs(gains[antenna] - lm_subchannel_gain(ch, antenna, 5, cfg.M)) < 1e-12

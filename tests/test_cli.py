@@ -104,6 +104,21 @@ def test_bad_config_exits_2(tmp_path):
     assert code == 2
 
 
+def test_overflowing_snr_entry_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"trials": 3, "rho_T_grid": [4000]})
+    code = cli.main(["hm-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_extreme_finite_snr_runs_without_nan(tmp_path):
+    path = write_config(tmp_path, {"trials": 3, "rho_T_grid": [3000]})
+    out = tmp_path / "out"
+    assert cli.main(["hm-sweep", "--config", str(path), "--out", str(out)]) == 0
+    text = (out / "hm_sweep.csv").read_text(encoding="utf-8").lower()
+    assert "nan" not in text
+
+
 def test_zero_workers_exits_2(tmp_path):
     path = write_config(tmp_path, SMALL)
     code = cli.main(

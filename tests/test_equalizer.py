@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ddlink_sim.channel import (
+    EigenSpectra,
     HMChannelRealization,
-    HMPath,
     hm_eigen_spectra,
     sample_hm_channel,
     sample_lm_channel,
+    uniform_weights,
 )
 from ddlink_sim.config import SystemConfig
 from ddlink_sim.equalizer import (
@@ -16,14 +17,13 @@ from ddlink_sim.equalizer import (
     DetectionPowerTerms,
     detection_power_terms,
     empirical_hm_sinr,
-    hm_at_lm_power_terms,
     hm_at_lm_snr,
     hm_detection_snr,
     lm_detection_snr,
     mmse_spectrum,
     spectral_decomposition_residual,
-    uniform_weights,
 )
+from ddlink_sim.validation import full_spectrum
 
 
 def small_config(**changes):
@@ -32,44 +32,45 @@ def small_config(**changes):
     return SystemConfig(**base)
 
 
-def flat_setup(n_antennas=4, n_bins=64, level=1.0, rho=1.0):
-    """Flat spectra: every antenna sees `level` on every bin, no leakage."""
-    lam_main = np.full((n_antennas, n_bins), level, dtype=complex)
-    lam_idi = np.zeros((n_antennas, n_bins), dtype=complex)
-    weights = uniform_weights(n_antennas)
-    spectrum = mmse_spectrum(lam_main, weights, rho)
-    terms = detection_power_terms(spectrum, lam_main, lam_idi, weights)
-    return spectrum, terms, weights
+def flat_setup(n_bins=64, level=2.0, rho=1.0):
+    """Flat spectra: `level` on every bin, no leakage.
+
+    The default level 2 is what four unit-gain antennas combine to at
+    uniform weight.
+    """
+    lam_main = np.full(n_bins, level, dtype=complex)
+    lam_idi = np.zeros(n_bins, dtype=complex)
+    delta = mmse_spectrum(lam_main, rho)
+    terms = detection_power_terms(delta, lam_main, lam_idi)
+    return delta, terms
 
 
 # === mmse spectrum ===================================================
 
 
 def test_mmse_unit_channel_halves():
-    lam = np.ones((1, 16), dtype=complex)
-    spectrum = mmse_spectrum(lam, np.ones(1, dtype=complex), 1.0)
-    assert np.allclose(spectrum.delta, 0.5)
+    delta = mmse_spectrum(np.ones(16, dtype=complex), 1.0)
+    assert np.allclose(delta, 0.5)
 
 
 def test_mmse_dead_bins_get_zero():
-    lam = np.zeros((1, 8), dtype=complex)
-    spectrum = mmse_spectrum(lam, np.ones(1, dtype=complex), 1.0)
-    assert np.all(spectrum.delta == 0.0)
+    delta = mmse_spectrum(np.zeros(8, dtype=complex), 1.0)
+    assert np.all(delta == 0.0)
 
 
 def test_mmse_small_regularizer_inverts():
     rng = np.random.default_rng(11)
-    lam = (rng.standard_normal((1, 32)) + 1j * rng.standard_normal((1, 32))) + 3.0
-    spectrum = mmse_spectrum(lam, np.ones(1, dtype=complex), 1e-12)
-    assert np.allclose(spectrum.delta * lam[0], 1.0, atol=1e-6)
+    lam = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) + 3.0
+    delta = mmse_spectrum(lam, 1e-12)
+    assert np.allclose(delta * lam, 1.0, atol=1e-6)
 
 
 def test_mmse_rejects_bad_regularizer():
-    lam = np.ones((1, 4), dtype=complex)
+    lam = np.ones(4, dtype=complex)
     with pytest.raises(ValueError, match="regularizer"):
-        mmse_spectrum(lam, np.ones(1, dtype=complex), 0.0)
+        mmse_spectrum(lam, 0.0)
     with pytest.raises(ValueError, match="regularizer"):
-        mmse_spectrum(lam, np.ones(1, dtype=complex), -1.0)
+        mmse_spectrum(lam, -1.0)
 
 
 def test_uniform_weights_unit_power():
@@ -85,15 +86,15 @@ def test_uniform_weights_unit_power():
 def test_flat_channel_delta_and_powers():
     # Four antennas at uniform weight on a unit flat channel combine to
     # c = 2 per bin; with rho = 1 the coefficient is 2/(4+1) = 0.4.
-    spectrum, terms, _ = flat_setup()
-    assert np.abs(spectrum.delta - 0.4).max() < 1e-12
+    delta, terms = flat_setup()
+    assert np.abs(delta - 0.4).max() < 1e-12
     assert terms.desired == pytest.approx(0.64, abs=1e-12)
     assert terms.leakage == pytest.approx(0.0, abs=1e-12)
     assert terms.noise == pytest.approx(0.16, abs=1e-12)
 
 
 def test_flat_channel_snr_values():
-    _, terms, _ = flat_setup()
+    _, terms = flat_setup()
     assert hm_detection_snr(terms, 1.0, 10.0) == pytest.approx(40.0, rel=1e-12)
     expected = 3.2 / 3.36
     assert hm_detection_snr(terms, 0.5, 10.0) == pytest.approx(expected, rel=1e-12)
@@ -102,7 +103,7 @@ def test_flat_channel_snr_values():
 def test_snr_saturates_at_power_ratio():
     # With nonzero leakage-free interference the SNR cannot exceed
     # p0 / (1 - p0) no matter how large the transmit SNR gets.
-    _, terms, _ = flat_setup()
+    _, terms = flat_setup()
     assert hm_detection_snr(terms, 0.5, 1e9) == pytest.approx(1.0, abs=1e-8)
     assert hm_detection_snr(terms, 0.5, 1e9) < 1.0
 
@@ -110,11 +111,9 @@ def test_snr_saturates_at_power_ratio():
 def test_degenerate_spectrum_raises():
     with pytest.raises(DegenerateSpectrum):
         hm_detection_snr(DetectionPowerTerms(0.0, 0.0, 0.0), 0.5, 10.0)
-    lam = np.zeros((2, 8), dtype=complex)
-    weights = uniform_weights(2)
-    spectrum = mmse_spectrum(lam, weights, 1.0)
+    lam = np.zeros(8, dtype=complex)
     with pytest.raises(DegenerateSpectrum):
-        hm_at_lm_snr(spectrum, lam, weights, 0.5, 10.0)
+        hm_at_lm_snr(mmse_spectrum(lam, 1.0), lam, 0.5, 10.0)
 
 
 # === closed-form monotonicity ========================================
@@ -155,34 +154,33 @@ def test_snr_decreases_with_leakage():
 
 
 def test_hm_at_lm_flat_values():
-    spectrum, _, weights = flat_setup()
-    lam = np.full((4, 64), 1.0, dtype=complex)
-    forward, noise = hm_at_lm_power_terms(spectrum, lam, weights)
-    assert forward == pytest.approx(0.64, abs=1e-12)
-    assert noise == pytest.approx(0.16, abs=1e-12)
-    got = hm_at_lm_snr(spectrum, lam, weights, 0.5, 10.0)
-    assert got == pytest.approx(3.2 / 3.36, rel=1e-12)
+    # Forward energy 0.64 and noise energy 0.16 on the flat channel, so
+    # at p0 = 1 the SNR is rho_t * 0.64 / 0.16 and at p0 = 0.5 it is
+    # 3.2 / (3.2 + 0.16).
+    delta, _ = flat_setup()
+    lam = np.full(64, 2.0, dtype=complex)
+    assert hm_at_lm_snr(delta, lam, 1.0, 10.0) == pytest.approx(10.0 * 0.64 / 0.16, rel=1e-12)
+    assert hm_at_lm_snr(delta, lam, 0.5, 10.0) == pytest.approx(3.2 / 3.36, rel=1e-12)
 
 
 def test_hm_at_lm_full_power_has_no_interference_term():
     rng = np.random.default_rng(31)
-    lam = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
-    weights = uniform_weights(2)
-    spectrum = mmse_spectrum(lam, weights, 1.0)
-    forward, noise = hm_at_lm_power_terms(spectrum, lam, weights)
-    got = hm_at_lm_snr(spectrum, lam, weights, 1.0, 7.0)
+    lam = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    delta = mmse_spectrum(lam, 1.0)
+    forward = float(np.mean(np.abs(delta) ** 2 * np.abs(lam) ** 2))
+    noise = float(np.mean(np.abs(delta) ** 2))
+    got = hm_at_lm_snr(delta, lam, 1.0, 7.0)
     assert got == pytest.approx(7.0 * forward / noise, rel=1e-12)
 
 
 def test_hm_at_lm_monotone_in_p0():
     rng = np.random.default_rng(32)
     for _ in range(100):
-        lam = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
-        weights = uniform_weights(3)
-        spectrum = mmse_spectrum(lam, weights, 1.0)
+        lam = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        delta = mmse_spectrum(lam, 1.0)
         rho_t = rng.uniform(0.5, 50.0)
-        lo = hm_at_lm_snr(spectrum, lam, weights, 0.4, rho_t)
-        hi = hm_at_lm_snr(spectrum, lam, weights, 0.6, rho_t)
+        lo = hm_at_lm_snr(delta, lam, 0.4, rho_t)
+        hi = hm_at_lm_snr(delta, lam, 0.6, rho_t)
         assert hi > lo
 
 
@@ -209,34 +207,33 @@ def test_lm_snr_rejects_negative_share():
 
 def test_decomposition_residual_on_sampled_channels():
     cfg = small_config()
-    weights = uniform_weights(cfg.A)
     rng = np.random.default_rng(41)
     for _ in range(20):
-        spectra = hm_eigen_spectra(sample_hm_channel(cfg, rng), cfg.N, cfg.M)
-        spectrum = mmse_spectrum(spectra.lambda_main, weights, cfg.rho)
-        assert spectral_decomposition_residual(spectrum, spectra, weights) <= 1e-12
+        ch = sample_hm_channel(cfg, rng)
+        spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
+        delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+        lambda_full = full_spectrum(ch, cfg.N, cfg.M)
+        assert spectral_decomposition_residual(delta, spectra, lambda_full) <= 1e-12
 
 
 def test_decomposition_residual_detects_mismatch():
     cfg = small_config()
-    weights = uniform_weights(cfg.A)
     rng = np.random.default_rng(42)
-    spectra = hm_eigen_spectra(sample_hm_channel(cfg, rng), cfg.N, cfg.M)
-    spectrum = mmse_spectrum(spectra.lambda_main, weights, cfg.rho)
-    broken = type(spectra)(
-        lambda_main=spectra.lambda_main,
-        lambda_idi=spectra.lambda_idi + 1e-6,
-        lambda_full=spectra.lambda_full,
-    )
-    assert spectral_decomposition_residual(spectrum, broken, weights) > 1e-8
+    ch = sample_hm_channel(cfg, rng)
+    spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
+    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+    broken = EigenSpectra(spectra.lambda_main, spectra.lambda_idi + 1e-6)
+    lambda_full = full_spectrum(ch, cfg.N, cfg.M)
+    assert spectral_decomposition_residual(delta, broken, lambda_full) > 1e-8
 
 
 # === symbol-level cross-check ========================================
 
 
 def clean_single_path(cfg, gain=1.0):
-    paths = (HMPath(0, 0, 0.0, np.full(cfg.A, gain, dtype=complex)),)
-    return HMChannelRealization(paths, cfg.N_p)
+    # Every antenna at `gain`, beamformed with the uniform weights.
+    beamformed = np.full(cfg.A, gain, dtype=complex) @ uniform_weights(cfg.A)
+    return HMChannelRealization([0], [0], [0.0], np.array([beamformed]), cfg.N_p)
 
 
 def lm_set(cfg, rng):
@@ -279,12 +276,11 @@ def per_bin_power_model(cfg, ch, rho_t):
     and leakage branches that the closed form drops, so it tracks the
     symbol-level measurement for any realization.
     """
-    weights = uniform_weights(cfg.A)
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    spectrum = mmse_spectrum(spectra.lambda_main, weights, cfg.rho)
-    terms = detection_power_terms(spectrum, spectra.lambda_main, spectra.lambda_idi, weights)
-    delta_e = spectrum.delta * (weights @ spectra.lambda_main)
-    delta_f = spectrum.delta * (weights @ spectra.lambda_idi)
+    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+    terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
+    delta_e = delta * spectra.lambda_main
+    delta_f = delta * spectra.lambda_idi
     cross = 2.0 * float(np.mean((delta_e * np.conj(delta_f)).real))
     denom = (
         (1.0 - cfg.p0) * rho_t * (terms.desired + terms.leakage + cross)
@@ -315,10 +311,9 @@ def test_empirical_near_closed_form_on_average():
     rng = np.random.default_rng(71)
     ch = sample_hm_channel(cfg, rng)
     lm_channels = lm_set(cfg, rng)
-    weights = uniform_weights(cfg.A)
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    spectrum = mmse_spectrum(spectra.lambda_main, weights, cfg.rho)
-    terms = detection_power_terms(spectrum, spectra.lambda_main, spectra.lambda_idi, weights)
+    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+    terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
     analytic = hm_detection_snr(terms, cfg.p0, rho_t)
     got = empirical_hm_sinr(ch, lm_channels, cfg, rho_t, rng, n_symbols=50_000)
     assert got.value == pytest.approx(analytic, rel=0.25)

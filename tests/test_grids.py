@@ -1,24 +1,9 @@
-"""Grid transforms, vectorization, and spectral diagonalization."""
+"""Spectral basis and block-circulant diagonalization."""
 
 import numpy as np
 import pytest
 
-from ddlink_sim.grids import (
-    DDGrid,
-    DDVector,
-    NotBlockCirculant,
-    TFGrid,
-    build_basis,
-    devectorize,
-    diagonalize_bccb,
-    isfft,
-    sfft,
-    vectorize,
-)
-
-
-def random_grid(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+from ddlink_sim.grids import NotBlockCirculant, build_basis, diagonalize_bccb
 
 
 def shift_matrix(n, m, doppler_shift, delay_shift):
@@ -31,98 +16,6 @@ def shift_matrix(n, m, doppler_shift, delay_shift):
             dst = (k + doppler_shift) % n + n * ((ell + delay_shift) % m)
             h[dst, src] = 1.0
     return h
-
-
-# === isfft / sfft ====================================================
-
-
-def test_isfft_impulse_at_origin_is_flat():
-    dd = np.zeros((2, 2), dtype=complex)
-    dd[0, 0] = 1.0
-    tf = isfft(DDGrid(dd))
-    assert np.allclose(tf.data, 0.25 * np.ones((2, 2)), atol=1e-15)
-
-
-def test_isfft_doppler_impulse_alternates_in_time():
-    dd = np.zeros((2, 2), dtype=complex)
-    dd[1, 0] = 1.0
-    tf = isfft(DDGrid(dd))
-    expected = np.array([[0.25, 0.25], [-0.25, -0.25]])
-    assert np.allclose(tf.data, expected, atol=1e-15)
-
-
-def test_sfft_of_flat_grid_recovers_impulse():
-    tf = TFGrid(0.25 * np.ones((2, 2), dtype=complex))
-    dd = sfft(tf)
-    expected = np.zeros((2, 2), dtype=complex)
-    expected[0, 0] = 1.0
-    assert np.allclose(dd.data, expected, atol=1e-15)
-
-
-def test_sfft_of_zero_is_zero():
-    dd = sfft(TFGrid(np.zeros((4, 8), dtype=complex)))
-    assert np.all(dd.data == 0.0)
-
-
-def test_transform_round_trips():
-    rng = np.random.default_rng(20240811)
-    dims = (2, 4, 8, 16)
-    for _ in range(1000):
-        n = int(rng.choice(dims))
-        m = int(rng.choice(dims))
-        dd = random_grid(rng, n, m)
-        back = sfft(isfft(DDGrid(dd)))
-        assert np.abs(back.data - dd).max() < 1e-12
-        tf = random_grid(rng, n, m)
-        forth = isfft(sfft(TFGrid(tf)))
-        assert np.abs(forth.data - tf).max() < 1e-12
-
-
-def test_isfft_matches_direct_double_sum():
-    # Literal evaluation of the defining double sum on a small grid.
-    rng = np.random.default_rng(7)
-    n, m = 4, 3
-    dd = random_grid(rng, n, m)
-    direct = np.zeros((n, m), dtype=complex)
-    for slot in range(n):
-        for sub in range(m):
-            for k in range(n):
-                for ell in range(m):
-                    direct[slot, sub] += dd[k, ell] * np.exp(
-                        2j * np.pi * (k * slot / n - ell * sub / m)
-                    )
-    direct /= n * m
-    assert np.abs(isfft(DDGrid(dd)).data - direct).max() < 1e-12
-
-
-# === vectorization ===================================================
-
-
-def test_vectorize_index_rule():
-    rng = np.random.default_rng(3)
-    grid = DDGrid(random_grid(rng, 16, 16))
-    vec = vectorize(grid)
-    assert vec.data[1 + 16 * 2] == grid.data[1, 2]
-    assert vec.data[33] == grid.data[1, 2]
-
-
-def test_vectorize_small_order():
-    grid = DDGrid(np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex))
-    vec = vectorize(grid)
-    assert np.array_equal(vec.data, np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
-
-
-def test_vectorize_round_trip():
-    rng = np.random.default_rng(11)
-    for n, m in ((2, 2), (4, 8), (16, 16), (3, 5)):
-        grid = DDGrid(random_grid(rng, n, m))
-        back = devectorize(vectorize(grid))
-        assert np.array_equal(back.data, grid.data)
-
-
-def test_ddvector_rejects_wrong_length():
-    with pytest.raises(ValueError, match="vector length"):
-        DDVector(np.zeros(5, dtype=complex), 2, 2)
 
 
 # === spectral basis ==================================================
@@ -193,11 +86,3 @@ def test_random_shift_combination_is_block_circulant():
     lam = diagonalize_bccb(h, basis)
     assert lam.shape == (n * m,)
 
-
-def test_grid_types_reject_nonfinite():
-    bad = np.ones((2, 2), dtype=complex)
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        DDGrid(bad)
-    with pytest.raises(ValueError):
-        TFGrid(bad)

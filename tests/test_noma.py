@@ -1,19 +1,16 @@
-"""Power allocation, signal superposition, and rate assembly."""
+"""Power allocation and rate assembly."""
 
 import numpy as np
 import pytest
 
 from ddlink_sim.equalizer import LinkSnrs
-from ddlink_sim.grids import DDVector, isfft
 from ddlink_sim.noma import (
     PowerAllocation,
     UserRates,
     ZeroGain,
     allocate_power,
     assemble_rates,
-    embed_lm_subcarrier,
     spectral_efficiency,
-    superpose,
 )
 
 
@@ -72,82 +69,6 @@ def test_allocation_type_invariants():
         PowerAllocation(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         PowerAllocation(np.array([1.2, -0.2]))
-
-
-# === superposition ===================================================
-
-
-def white_vector(rng, n, m):
-    data = np.sqrt(0.5) * (rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m))
-    return DDVector(data, n, m)
-
-
-def test_superpose_full_power_passes_first_signal():
-    rng = np.random.default_rng(111)
-    signals = [white_vector(rng, 4, 4) for _ in range(3)]
-    alloc = PowerAllocation(np.array([1.0, 0.0, 0.0]))
-    out = superpose(signals, alloc)
-    assert np.allclose(out.data, signals[0].data, atol=1e-15)
-
-
-def test_superpose_zero_signals_give_zero():
-    zeros = [DDVector(np.zeros(16, dtype=complex), 4, 4) for _ in range(2)]
-    out = superpose(zeros, PowerAllocation(np.array([0.3, 0.7])))
-    assert np.all(out.data == 0.0)
-
-
-def test_superpose_rejects_mismatched_counts():
-    rng = np.random.default_rng(112)
-    signals = [white_vector(rng, 4, 4) for _ in range(2)]
-    with pytest.raises(ValueError, match="signals"):
-        superpose(signals, PowerAllocation(np.array([0.5, 0.25, 0.25])))
-
-
-def test_superpose_rejects_mismatched_grids():
-    rng = np.random.default_rng(113)
-    signals = [white_vector(rng, 4, 4), white_vector(rng, 2, 8)]
-    with pytest.raises(ValueError, match="grid"):
-        superpose(signals, PowerAllocation(np.array([0.5, 0.5])))
-
-
-def test_superpose_unit_power_identity():
-    # Independent unit-power inputs combine to unit mean power under any
-    # allocation; checked as a Monte Carlo moment.
-    rng = np.random.default_rng(114)
-    n, m = 4, 4
-    alloc = PowerAllocation(np.array([0.5, 0.3, 0.2]))
-    total = 0.0
-    draws = 10_000
-    for _ in range(draws):
-        signals = [white_vector(rng, n, m) for _ in range(3)]
-        out = superpose(signals, alloc)
-        total += float(np.vdot(out.data, out.data).real) / (n * m)
-    assert total / draws == pytest.approx(1.0, rel=0.02)
-
-
-# === subcarrier embedding ============================================
-
-
-def test_embed_occupies_one_subcarrier():
-    rng = np.random.default_rng(121)
-    n, m = 8, 8
-    symbols = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for user in (1, 3, m):
-        dd = embed_lm_subcarrier(symbols, user, n, m)
-        tf = isfft(dd)
-        assert np.allclose(tf.data[:, user - 1], symbols, atol=1e-12)
-        others = np.delete(tf.data, user - 1, axis=1)
-        assert np.abs(others).max() < 1e-12
-
-
-def test_embed_rejects_bad_user_and_shape():
-    symbols = np.ones(8, dtype=complex)
-    with pytest.raises(ValueError, match="user"):
-        embed_lm_subcarrier(symbols, 0, 8, 8)
-    with pytest.raises(ValueError, match="user"):
-        embed_lm_subcarrier(symbols, 9, 8, 8)
-    with pytest.raises(ValueError, match="symbols"):
-        embed_lm_subcarrier(np.ones(4, dtype=complex), 1, 8, 8)
 
 
 # === spectral efficiency =============================================

@@ -103,6 +103,61 @@ def test_ideal_beats_real_on_average():
     assert diffs.mean() > 5.0 * diffs.std(ddof=1) / np.sqrt(diffs.size)
 
 
+# Outputs of run_trial at the default config, recorded at version 0.1.0
+# (per-antenna channel draws) and kept to guard the physics through
+# refactors of the draw and spectra path: (seed, rho_T dB, se_hm Real,
+# se_hm Ideal, se_hm_at_lm, se_lm, se_lm_min).
+PRESERVED_TRIALS = [
+    (11, 0.0, 0.24301366394213947, 0.4491533692465179,
+     [0.34765798732363096, 0.29184374439121435, 0.4713517443119708, 0.24654322120857194, 0.28910536975628304, 0.4547702099418365, 0.5290837789067809, 0.17360714583715314],
+     [0.039191159961712255, 0.035890111328103276, 0.05135088616697785, 0.024096520811973134, 0.03952357856882018, 0.01698346257250077, 0.06634560254549463, 0.026260131877041487],
+     0.01698346257250077),
+    (11, 10.0, 0.43739532338434656, 0.8890363072658205,
+     [0.8393771153870233, 0.8015141947911575, 0.8976015183249519, 0.7622140560479965, 0.7993880096385448, 0.8912668896494385, 0.917099160958544, 0.6731270939881473],
+     [0.35092242452590056, 0.324109499374112, 0.446094867058597, 0.22456761347910942, 0.3535984611521358, 0.16145693541181722, 0.5564154753221422, 0.2432889217024194],
+     0.16145693541181722),
+    (11, 20.0, 0.47559206936078474, 0.9876246825751198,
+     [0.9811191377635969, 0.9756705321216622, 0.9886801960346072, 0.9695039050166331, 0.9753508133696783, 0.9879013522459099, 0.9910153857592924, 0.9531930090542396],
+     [1.9083356879601905, 1.8151305535737505, 2.2089779477099483, 1.42452984613874, 1.9174076371934548, 1.127078699583826, 2.5125070280762776, 1.5043053782402414],
+     0.9531930090542396),
+    (2024, 0.0, 0.2679115012821159, 0.4154565138711234,
+     [0.25371641776898474, 0.05178686312905947, 0.2412077037602001, 0.633133120191621, 0.594853229140382, 0.4178454168838572, 0.4058044101856159, 0.5982496415803188],
+     [0.054660578704094194, 0.019283271736177224, 0.05642180030275187, 0.06317834329724055, 0.07475765637209804, 0.08719007103954585, 0.08277194180284261, 0.13623532279550088],
+     0.019283271736177224),
+    (2024, 10.0, 0.5249781410937838, 0.8746594283473973,
+     [0.7690784223396884, 0.35051713853120203, 0.7569296053027549, 0.9445825724679385, 0.9354186208141604, 0.8757387046991764, 0.8701977166688759, 0.9362719815707637],
+     [0.4710804788871209, 0.18213127467613666, 0.484224985574947, 0.5337119136414392, 0.6152666281278749, 0.6986552860972195, 0.6694886163162846, 0.9930110583955651],
+     0.18213127467613666),
+    (2024, 20.0, 0.5811040352505128, 0.985810520502518,
+     [0.9706215004131884, 0.8410725830218573, 0.9686312658806394, 0.9941559126543014, 0.993127690412956, 0.9859485983127626, 0.9852363945781609, 0.9932242256427796],
+     [2.2813932356355284, 1.2299491158595797, 2.3185604121745342, 2.4532517140409786, 2.659561726037875, 2.8539783311035487, 2.7876604046805302, 3.446699161503169],
+     0.8410725830218573),
+    (715517, 0.0, 0.35448973565539976, 0.4372924289291165,
+     [0.48285745744043224, 0.4694559343538713, 0.30230715995707136, 0.47042446011622924, 0.34083505751229554, 0.13260229259302297, 0.34631432168995224, 0.4730626356242325],
+     [0.00888498817855299, 0.05697391625308956, 0.01895591393301976, 0.05091277296004641, 0.021860091342354258, 0.02119706122144681, 0.04024750886065404, 0.051180896002231295],
+     0.00888498817855299),
+    (715517, 10.0, 0.6796886026796964, 0.8841764461202257,
+     [0.9017895878855031, 0.8968955427955376, 0.8093820612819703, 0.8972567834614604, 0.8352452826277723, 0.6000752620839843, 0.8385730730127935, 0.898234706331685],
+     [0.08647954142501958, 0.48832433225500854, 0.17920448345219891, 0.44275912386891386, 0.20498752793334016, 0.1991371099825357, 0.35941125003820473, 0.4448013769701316],
+     0.08647954142501958),
+    (715517, 20.0, 0.749154271761395, 0.9870174695201219,
+     [0.9891896094688851, 0.9885938954740935, 0.9768405093014917, 0.9886380701680607, 0.9805462508855121, 0.93672728508059, 0.981008056143695, 0.9887574930223098],
+     [0.6939982818690368, 2.3300264893903573, 1.2157368245938578, 2.1991266859677023, 1.3372908193408581, 1.3104070920884077, 1.9369761402281591, 2.2051632354168547],
+     0.6939982818690368),
+]
+
+
+@pytest.mark.parametrize("seed, db, real, ideal, hm_at_lm, lm, lm_min", PRESERVED_TRIALS)
+def test_trial_values_preserved(seed, db, real, ideal, hm_at_lm, lm, lm_min):
+    result = run_trial(SystemConfig(), db, seed)
+    assert result.rates_real.se_hm == pytest.approx(real, rel=1e-12)
+    assert result.rates_ideal.se_hm == pytest.approx(ideal, rel=1e-12)
+    for rates in (result.rates_real, result.rates_ideal):
+        assert rates.se_hm_at_lm == pytest.approx(np.array(hm_at_lm), rel=1e-12)
+        assert rates.se_lm == pytest.approx(np.array(lm), rel=1e-12)
+        assert rates.se_lm_min == pytest.approx(lm_min, rel=1e-12)
+
+
 # === outage ==========================================================
 
 
