@@ -6,12 +6,12 @@ user's channel.  The package quantifies that leakage's cost in spectral
 efficiency and outage probability with paired Monte Carlo trials.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .channel import (
     EigenSpectra,
     HMChannelRealization,
-    LMChannelRealization,
+    LMChannels,
     hm_channel_matrices,
     hm_eigen_spectra,
     lm_eigen_spectrum,
@@ -33,7 +33,6 @@ from .config import (
 )
 from .equalizer import (
     DegenerateSpectrum,
-    LinkSnrs,
     detection_power_terms,
     empirical_hm_sinr,
     hm_at_lm_snr,
@@ -47,18 +46,10 @@ from .grids import (
     build_basis,
     diagonalize_bccb,
 )
-from .noma import (
-    PowerAllocation,
-    UserRates,
-    ZeroGain,
-    allocate_power,
-    assemble_rates,
-    spectral_efficiency,
-)
+from .noma import ZeroGain, allocate_power, assemble_rates
 from .simkit import (
     SweepPoint,
     SweepSummary,
-    TrialResult,
     derive_trial_seed,
     outage_probability,
     run_sweep,
@@ -73,17 +64,13 @@ __all__ = [
     "DegenerateSpectrum",
     "EigenSpectra",
     "HMChannelRealization",
-    "LMChannelRealization",
-    "LinkSnrs",
+    "LMChannels",
     "NotBlockCirculant",
     "ParseError",
-    "PowerAllocation",
     "SpectralBasis",
     "SweepPoint",
     "SweepSummary",
     "SystemConfig",
-    "TrialResult",
-    "UserRates",
     "ValidationError",
     "ZeroGain",
     "allocate_power",
@@ -109,7 +96,6 @@ __all__ = [
     "run_trial",
     "sample_hm_channel",
     "sample_lm_channel",
-    "spectral_efficiency",
     "subpath_ratio",
     "uniform_weights",
     "without_fractional_doppler",

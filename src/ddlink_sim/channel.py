@@ -5,7 +5,7 @@ delay tap, an integer Doppler tap and a fractional Doppler offset.  The
 offset smears the path across neighbouring Doppler bins: the q = 0
 subpath carries the desired signal while the q != 0 subpaths act as
 inter-Doppler interference (IDI).  Low-mobility (LM) channels are
-delay-only.
+delay-only, and one container holds those of all U users.
 
 A realization holds its paths as arrays.  The per-antenna gains are
 combined with the uniform transmit weights as soon as they are drawn:
@@ -15,7 +15,9 @@ the diagonalization and only the beamformed gain w @ alpha_p is kept.
 All channel matrices are block circulant under the k + N*l vector
 layout, so their eigenvalues can be evaluated directly on the spectral
 grid (`hm_eigen_spectra`, `lm_eigen_spectrum`) without forming the dense
-matrices; the dense builders exist as the independent cross-check.
+matrices; the dense builders exist as the independent cross-check.  A
+delay-only spectrum is constant along the Doppler axis, so the LM
+spectra are evaluated on the M delay bins only.
 """
 
 from dataclasses import dataclass, replace
@@ -25,17 +27,18 @@ import numpy as np
 
 from .config import SystemConfig
 
-# LM users see between 1 and 4 paths, drawn uniformly per realization.
+# LM users see between 1 and 4 paths, drawn uniformly per user; every
+# user's row is padded to the largest count.
 LM_PATH_RANGE = (1, 4)
 
 
 # === realizations ====================================================
 
 
-def _path_arrays(gain, *taps) -> tuple:
-    """Validated (gain, *taps) arrays of one path set."""
+def _path_arrays(gain, *taps, ndim: int = 1) -> tuple:
+    """Validated (gain, *taps) arrays of one path set, paths on the last axis."""
     gain = np.asarray(gain, dtype=complex)
-    if gain.ndim != 1 or gain.size == 0:
+    if gain.ndim != ndim or gain.size == 0:
         raise ValueError("a channel realization needs at least one path")
     if not np.isfinite(gain).all():
         raise ValueError("gains must be finite")
@@ -74,17 +77,18 @@ class HMChannelRealization:
 
 
 @dataclass(frozen=True)
-class LMChannelRealization:
-    """Delay-only channel of one low-mobility user, one entry per path."""
+class LMChannels:
+    """Delay-only channels of LM users 1..U, row u - 1 for user u.
 
-    user: int
+    delay and gain have shape (U, P).  A user with fewer than P paths is
+    padded with zero-gain taps at delay 0, which add exactly nothing.
+    """
+
     delay: np.ndarray
     gain: np.ndarray
 
     def __post_init__(self):
-        gain, delay = _path_arrays(self.gain, self.delay)
-        if self.user < 1:
-            raise ValueError("user indices start at 1")
+        gain, delay = _path_arrays(self.gain, self.delay, ndim=2)
         object.__setattr__(self, "delay", delay)
         object.__setattr__(self, "gain", gain)
 
@@ -189,18 +193,22 @@ def sample_hm_channel(cfg: SystemConfig, rng: np.random.Generator) -> HMChannelR
     return HMChannelRealization(doppler, delays, kappa, gain, cfg.N_p)
 
 
-def sample_lm_channel(cfg: SystemConfig, user: int, rng: np.random.Generator) -> LMChannelRealization:
-    """Draw one LM user's delay-only channel.
+def sample_lm_channel(cfg: SystemConfig, rng: np.random.Generator) -> LMChannels:
+    """Draw the delay-only channels of LM users 1..U, in user order.
 
-    The path count is uniform over LM_PATH_RANGE, delays follow the same
-    policy as the HM channel, and gains are complex normal with variance
-    1/L_u.  Draw order: path count, delays, gains.
+    Per user, the path count L_u is uniform over LM_PATH_RANGE, delays
+    follow the same policy as the HM channel, and gains are complex
+    normal with variance 1/L_u.  Draw order per user: path count,
+    delays, gains.  Rows are padded to LM_PATH_RANGE[1] paths.
     """
-    if not 1 <= user <= cfg.U:
-        raise ValueError(f"user must lie in [1, U={cfg.U}], got {user}")
-    n_paths = int(rng.integers(LM_PATH_RANGE[0], LM_PATH_RANGE[1] + 1))
-    delays = _draw_delay_taps(n_paths, cfg.l_max, rng)
-    return LMChannelRealization(user, delays, _beamformed_gains(n_paths, cfg.A, rng))
+    shape = (cfg.U, LM_PATH_RANGE[1])
+    delay = np.zeros(shape, dtype=np.int64)
+    gain = np.zeros(shape, dtype=complex)
+    for row in range(cfg.U):
+        n_paths = int(rng.integers(LM_PATH_RANGE[0], LM_PATH_RANGE[1] + 1))
+        delay[row, :n_paths] = _draw_delay_taps(n_paths, cfg.l_max, rng)
+        gain[row, :n_paths] = _beamformed_gains(n_paths, cfg.A, rng)
+    return LMChannels(delay, gain)
 
 
 def without_fractional_doppler(ch: HMChannelRealization) -> HMChannelRealization:
@@ -248,12 +256,12 @@ def hm_channel_matrices(
     return main, idi, main + idi
 
 
-def lm_channel_matrix(ch: LMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
-    """Dense delay-only channel matrix."""
+def lm_channel_matrix(lm: LMChannels, user: int, n_doppler: int, n_delay: int) -> np.ndarray:
+    """Dense delay-only channel matrix of LM user `user` (1-based)."""
     nm = n_doppler * n_delay
     h = np.zeros((nm, nm), dtype=complex)
     rows = np.arange(nm)
-    for delay, gain in zip(ch.delay, ch.gain):
+    for delay, gain in zip(lm.delay[user - 1], lm.gain[user - 1]):
         h[rows, _shift_columns(n_doppler, n_delay, 0, delay)] += gain
     return h
 
@@ -305,19 +313,21 @@ def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> 
     return EigenSpectra(_path_sum(ch, main, n_delay), _path_sum(ch, idi, n_delay))
 
 
-def lm_eigen_spectrum(ch: LMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
-    """Eigenvalue spectrum of an LM channel, shape (N*M,).
+def lm_eigen_spectrum(lm: LMChannels, n_delay: int) -> np.ndarray:
+    """Eigenvalue spectra of the LM channels on the delay bins, shape (U, M).
 
-    Delay-only shifts make the spectrum constant along the Doppler
-    frequency axis.
+    A delay-only channel's spectrum is constant along the Doppler axis,
+    so row u - 1 repeated N times is user u's full (N*M,) spectrum.
     """
-    lam_delay = _dft_phase_table(n_delay)[:, ch.delay % n_delay] @ ch.gain  # (M,)
-    return np.repeat(lam_delay, n_doppler)
+    phases = _dft_phase_table(n_delay)[:, lm.delay % n_delay]  # (M, U, P)
+    return np.einsum("mup,up->um", phases, lm.gain)
 
 
 # === per-subcarrier gains ============================================
 
 
-def lm_subchannel_gains(ch: LMChannelRealization, subcarrier: int, n_delay: int) -> complex:
-    """Beamformed frequency response of an LM channel at one subcarrier."""
-    return np.exp(2j * np.pi * ch.delay * subcarrier / n_delay) @ ch.gain
+def lm_subchannel_gains(lm: LMChannels, n_delay: int) -> np.ndarray:
+    """Beamformed frequency response of each LM user at its own
+    subcarrier (user u on subcarrier u - 1), shape (U,)."""
+    subcarrier = np.arange(lm.gain.shape[0])[:, None]
+    return (np.exp(2j * np.pi * lm.delay * subcarrier / n_delay) * lm.gain).sum(axis=1)

@@ -81,18 +81,19 @@ def _build_parser() -> argparse.ArgumentParser:
         ("outage", "mobile-user outage probability sweep", True),
         ("validate", "run the numerical self-check suite", False),
     )
-    for name, help_text, needs_out in specs:
+    for name, help_text, is_sweep in specs:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", default=None, help="JSON config file or run manifest")
         sub.add_argument(
             "--out",
-            required=needs_out,
+            required=is_sweep,
             default=None,
-            help="output directory" + ("" if needs_out else " for the check report (optional)"),
+            help="output directory" + ("" if is_sweep else " for the check report (optional)"),
         )
         sub.add_argument("--seed", type=int, default=None, help="override master_seed")
-        sub.add_argument("--trials", type=int, default=None, help="override trial count")
-        sub.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+        if is_sweep:
+            sub.add_argument("--trials", type=int, default=None, help="override trial count")
+            sub.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     return parser
 
 
@@ -101,7 +102,7 @@ def _resolve_config(args: argparse.Namespace) -> SystemConfig:
     changes = {}
     if args.seed is not None:
         changes["master_seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         changes["trials"] = args.trials
     return cfg.replace(**changes) if changes else cfg
 
@@ -284,7 +285,7 @@ def cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
                 "checks": [asdict(result) for result in results],
             },
         )
-        _write_manifest(out_dir, "validate", cfg, args.workers, ["validation_report.json"])
+        _write_manifest(out_dir, "validate", cfg, 1, ["validation_report.json"])
     failed = [result for result in results if not result.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
@@ -300,7 +301,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print(f"config error: workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     try:

@@ -4,7 +4,10 @@ The HM receiver equalizes in the spectral domain: the beamformed desired
 channel diagonalizes to one complex eigenvalue per spectral bin, the
 regularized inverse of that diagonal (the array `delta`) is the whole
 equalizer, and every average power the SNR formulas need reduces to a
-mean over the bins.  `empirical_hm_sinr` is the independent cross-check:
+mean over the bins.  The LM-side stages take all U users at once: the
+HM-at-LM SNR reduces over the last (delay-bin) axis of a (U, M)
+spectrum, and the LM SNR is element-wise over the users.
+`empirical_hm_sinr` is the independent cross-check:
 it runs actual symbols through the dense channel matrices and a dense
 least-squares equalizer and measures the same ratio from the samples.
 """
@@ -16,6 +19,7 @@ import numpy as np
 from .channel import (
     EigenSpectra,
     HMChannelRealization,
+    LMChannels,
     hm_channel_matrices,
     lm_subchannel_gains,
 )
@@ -39,15 +43,6 @@ class DetectionPowerTerms:
     desired: float
     leakage: float
     noise: float
-
-
-@dataclass(frozen=True)
-class LinkSnrs:
-    """The three detection SNRs of one trial."""
-
-    hm: float
-    hm_at_lm: np.ndarray
-    lm: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,25 +87,28 @@ def hm_detection_snr(terms: DetectionPowerTerms, p0: float, rho_t: float) -> flo
     return signal / ((1.0 - p0) * rho_t * terms.desired + rho_t * terms.leakage + terms.noise)
 
 
-def hm_at_lm_snr(delta: np.ndarray, eigenvalues: np.ndarray, p0: float, rho_t: float) -> float:
-    """SNR of the HM signal detected (for cancellation) at an LM user.
+def hm_at_lm_snr(delta: np.ndarray, eigenvalues: np.ndarray, p0: float, rho_t: float):
+    """SNR of the HM signal detected (for cancellation) at LM users.
 
-    The forward energy is that of the equalized channel; the remaining
-    users' aggregate share 1 - p0 is the interference.
+    The energies are means over the last axis, so a (U, M) spectrum
+    gives one SNR per user.  The forward energy is that of the equalized
+    channel; the remaining users' aggregate share 1 - p0 is the
+    interference.
     """
     noise_gain = np.abs(delta) ** 2
-    forward = float(np.mean(noise_gain * np.abs(eigenvalues) ** 2))
-    noise = float(np.mean(noise_gain))
-    if noise == 0.0:
+    forward = np.mean(noise_gain * np.abs(eigenvalues) ** 2, axis=-1)
+    noise = np.mean(noise_gain, axis=-1)
+    if np.any(noise == 0.0):
         raise DegenerateSpectrum("all equalizer coefficients are zero")
     return p0 * rho_t * forward / ((1.0 - p0) * rho_t * forward + noise)
 
 
-def lm_detection_snr(power_share: float, rho_t: float, subchannel_gain: complex) -> float:
-    """SNR of an LM user's own signal on its dedicated subcarrier."""
-    if power_share < 0:
+def lm_detection_snr(power_share, rho_t: float, subchannel_gain):
+    """SNR of each LM user's own signal on its dedicated subcarrier,
+    element-wise over the shares and gains."""
+    if np.any(np.asarray(power_share) < 0):
         raise ValueError(f"power_share must be >= 0, got {power_share!r}")
-    return power_share * rho_t * float(np.abs(subchannel_gain) ** 2)
+    return power_share * rho_t * np.abs(subchannel_gain) ** 2
 
 
 def spectral_decomposition_residual(
@@ -136,7 +134,7 @@ def spectral_decomposition_residual(
 
 def empirical_hm_sinr(
     ch: HMChannelRealization,
-    lm_channels,
+    lm_channels: LMChannels,
     cfg: SystemConfig,
     rho_t: float,
     rng: np.random.Generator,
@@ -162,8 +160,7 @@ def empirical_hm_sinr(
     equalizer = np.linalg.solve(gram, h_main.conj().T)
     signal_map = equalizer @ h_main
 
-    gains = np.array([lm_subchannel_gains(lm, lm.user - 1, m) for lm in lm_channels])
-    shares = allocate_power(cfg.p0, gains).shares
+    shares = allocate_power(cfg.p0, lm_subchannel_gains(lm_channels, m))
     amp = np.sqrt(shares)
 
     sigma = np.sqrt(1.0 / rho_t)

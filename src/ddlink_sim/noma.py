@@ -1,54 +1,26 @@
-"""Power-domain user multiplexing: power allocation and rates."""
+"""Power-domain user multiplexing: the split of the unit transmit power
+and the LM-side rates.
+
+The HM user gets the share p0 on the full grid; the LM users share the
+rest on their dedicated subcarriers.  The split is one share vector,
+entry 0 for the HM user and entries 1..U for LM users 1..U.  The rates
+of all U users are reduced at once to the trial's LM summaries.
+"""
 
 import numpy as np
-
-from dataclasses import dataclass
-
-from .equalizer import LinkSnrs
 
 
 class ZeroGain(ValueError):
     """Raised when a user's subchannel gain is exactly zero."""
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Power shares, entry 0 for the HM user, entries 1..U for LM users."""
-
-    shares: np.ndarray
-
-    def __post_init__(self):
-        shares = np.asarray(self.shares, dtype=float)
-        if shares.ndim != 1 or shares.size < 1:
-            raise ValueError("shares must be a non-empty 1-D array")
-        if np.any(shares < 0.0) or np.any(shares > 1.0):
-            raise ValueError("power shares must lie in [0, 1]")
-        if abs(shares.sum() - 1.0) > 1e-12:
-            raise ValueError(f"power shares must sum to 1, got {shares.sum()!r}")
-        object.__setattr__(self, "shares", shares)
-
-
-@dataclass(frozen=True)
-class UserRates:
-    """Spectral efficiencies of one trial in b/s/Hz.
-
-    se_hm is the HM user's own-detection rate; se_hm_at_lm and se_lm hold
-    the two LM-side stages per user; se_lm_min is the worst-user summary
-    under the configured stage convention.
-    """
-
-    se_hm: float
-    se_hm_at_lm: np.ndarray
-    se_lm: np.ndarray
-    se_lm_min: float
-
-
-def allocate_power(hm_share: float, subchannel_gains: np.ndarray) -> PowerAllocation:
+def allocate_power(hm_share: float, subchannel_gains: np.ndarray) -> np.ndarray:
     """Split the unit transmit power: p0 to the HM user, the rest
     inversely weighted by LM subchannel magnitude so weaker users get
     more power.
 
-    Scaling every gain by a common factor leaves the shares unchanged.
+    Returns the (U + 1,) share vector, which sums to one.  Scaling every
+    gain by a common factor leaves the shares unchanged.
     """
     if not 0.0 <= hm_share <= 1.0:
         raise ValueError(f"hm_share must lie in [0, 1], got {hm_share!r}")
@@ -59,25 +31,19 @@ def allocate_power(hm_share: float, subchannel_gains: np.ndarray) -> PowerAlloca
         raise ZeroGain("inverse-magnitude weighting undefined for a zero subchannel gain")
     inverse = 1.0 / magnitudes
     lm_shares = (1.0 - hm_share) * inverse / inverse.sum()
-    return PowerAllocation(np.concatenate(([hm_share], lm_shares)))
+    return np.concatenate(([hm_share], lm_shares))
 
 
-def spectral_efficiency(snr: float) -> float:
-    """Shannon rate log2(1 + snr) in b/s/Hz."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
-    return float(np.log2(1.0 + snr))
+def assemble_rates(hm_at_lm: np.ndarray, lm: np.ndarray, include_hm_stage: bool = True) -> np.ndarray:
+    """Map the per-user SNRs of the two LM-side stages to the trial's
+    LM summaries in b/s/Hz.
 
-
-def assemble_rates(snrs: LinkSnrs, include_hm_stage: bool = True) -> UserRates:
-    """Map the trial's SNRs to spectral efficiencies.
-
-    The worst-user summary takes, per user, the weaker of the two LM-side
-    stages (or the LM stage alone when include_hm_stage is False), then
-    the minimum across users.
+    Returns (mean, min) over users of the HM-at-LM stage rate, (mean,
+    min) of the LM stage rate, and the worst user's limiting rate: per
+    user the weaker of the two stages (or the LM stage alone when
+    include_hm_stage is False), then the minimum across users.
     """
-    se_hm = spectral_efficiency(snrs.hm)
-    se_hm_at_lm = np.log2(1.0 + np.asarray(snrs.hm_at_lm, dtype=float))
-    se_lm = np.log2(1.0 + np.asarray(snrs.lm, dtype=float))
+    se_hm_at_lm = np.log2(1.0 + np.asarray(hm_at_lm, dtype=float))
+    se_lm = np.log2(1.0 + np.asarray(lm, dtype=float))
     per_user = np.minimum(se_hm_at_lm, se_lm) if include_hm_stage else se_lm
-    return UserRates(se_hm, se_hm_at_lm, se_lm, float(per_user.min()))
+    return np.array([se_hm_at_lm.mean(), se_hm_at_lm.min(), se_lm.mean(), se_lm.min(), per_user.min()])

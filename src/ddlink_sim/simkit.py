@@ -6,8 +6,15 @@ independent of execution order and worker count.  The Real and Ideal
 members of a trial share all channel draws; only the fractional Doppler
 offsets differ (forced to zero for Ideal), which pairs the comparison
 trial by trial.
+
+A trial is one array path from the draws to its record row: the LM
+stages of all U users are evaluated at once on the M delay bins and
+shared by both members.  A sweep maps one task list over every
+(point, chunk) pair, in process or on a pool, and splits the rows back
+per point.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,14 +30,13 @@ from .channel import (
 )
 from .config import SystemConfig, db_to_linear
 from .equalizer import (
-    LinkSnrs,
     detection_power_terms,
     hm_at_lm_snr,
     hm_detection_snr,
     lm_detection_snr,
     mmse_spectrum,
 )
-from .noma import UserRates, allocate_power, assemble_rates
+from .noma import allocate_power, assemble_rates
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,70 +66,57 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
 
 # === single trial ====================================================
 
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Paired outcome of one trial.
-
-    Both members derive from identical channel draws and differ only in
-    the fractional Doppler offsets; a member not requested by cfg.mode
-    is None.
-    """
-
-    rates_real: UserRates | None
-    rates_ideal: UserRates | None
-    trial_index: int
-    seed: int
-
-    def __post_init__(self):
-        if self.rates_real is None and self.rates_ideal is None:
-            raise ValueError("at least one trial member must be present")
+# Per-trial record layout used by the sweep accumulator; columns 2..6
+# are the LM summaries in the order noma.assemble_rates returns them.
+_COL_SE_REAL = 0
+_COL_SE_IDEAL = 1
+_COL_HM_AT_LM_MEAN = 2
+_COL_HM_AT_LM_MIN = 3
+_COL_LM_MEAN = 4
+_COL_LM_MIN = 5
+_COL_LM_WORST_STAGE = 6
+_N_COLS = 7
 
 
 def _hm_rate(cfg: SystemConfig, ch, rho_t: float) -> float:
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
     delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
     terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
-    return hm_detection_snr(terms, cfg.p0, rho_t)
+    return np.log2(1.0 + hm_detection_snr(terms, cfg.p0, rho_t))
 
 
-def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int, trial_index: int = 0) -> TrialResult:
+def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray:
     """Simulate one paired trial at one transmit-SNR point.
 
-    Draw order is fixed (HM channel, then LM users 1..U) so a seed fully
-    determines the realization.  The LM-side stages carry no fractional
-    Doppler, hence they are identical in both members.
+    Returns the (_N_COLS,) record row of spectral efficiencies in b/s/Hz:
+    the HM rate of the Real and the Ideal member, the mean and minimum
+    over users of both LM-side stages, and the worst user's limiting
+    rate (the weaker stage per user, or the LM stage alone when
+    cfg.lm_min_includes_hm_stage is False).  A member not requested by
+    cfg.mode is NaN.  Draw order is fixed (HM channel, then LM users
+    1..U) so a seed fully determines the realization.  The LM-side
+    stages carry no fractional Doppler, hence one evaluation serves
+    both members.
     """
     rng = np.random.default_rng(trial_seed)
     rho_t = db_to_linear(rho_t_db)
 
     hm = sample_hm_channel(cfg, rng)
-    lm_channels = [sample_lm_channel(cfg, user, rng) for user in range(1, cfg.U + 1)]
+    lm = sample_lm_channel(cfg, rng)
 
-    gains = np.array([lm_subchannel_gains(lm, lm.user - 1, cfg.M) for lm in lm_channels])
-    allocation = allocate_power(cfg.p0, gains)
+    gains = lm_subchannel_gains(lm, cfg.M)
+    shares = allocate_power(cfg.p0, gains)
+    lam = lm_eigen_spectrum(lm, cfg.M)
+    snr_hm_at_lm = hm_at_lm_snr(mmse_spectrum(lam, cfg.rho), lam, cfg.p0, rho_t)
+    snr_lm = lm_detection_snr(shares[1:], rho_t, gains)
 
-    hm_at_lm = np.empty(cfg.U)
-    lm = np.empty(cfg.U)
-    for j, lm_ch in enumerate(lm_channels):
-        lam_u = lm_eigen_spectrum(lm_ch, cfg.N, cfg.M)
-        delta_u = mmse_spectrum(lam_u, cfg.rho)
-        hm_at_lm[j] = hm_at_lm_snr(delta_u, lam_u, cfg.p0, rho_t)
-        lm[j] = lm_detection_snr(allocation.shares[j + 1], rho_t, gains[j])
-
-    rates_real = None
-    rates_ideal = None
+    row = np.full(_N_COLS, np.nan)
     if cfg.mode in ("real", "both"):
-        snr_real = _hm_rate(cfg, hm, rho_t)
-        rates_real = assemble_rates(
-            LinkSnrs(snr_real, hm_at_lm, lm), cfg.lm_min_includes_hm_stage
-        )
+        row[_COL_SE_REAL] = _hm_rate(cfg, hm, rho_t)
     if cfg.mode in ("ideal", "both"):
-        snr_ideal = _hm_rate(cfg, without_fractional_doppler(hm), rho_t)
-        rates_ideal = assemble_rates(
-            LinkSnrs(snr_ideal, hm_at_lm, lm), cfg.lm_min_includes_hm_stage
-        )
-    return TrialResult(rates_real, rates_ideal, trial_index, trial_seed)
+        row[_COL_SE_IDEAL] = _hm_rate(cfg, without_fractional_doppler(hm), rho_t)
+    row[_COL_HM_AT_LM_MEAN:] = assemble_rates(snr_hm_at_lm, snr_lm, cfg.lm_min_includes_hm_stage)
+    return row
 
 
 # === outage ==========================================================
@@ -138,16 +131,6 @@ def outage_probability(samples: np.ndarray, r_th: float) -> float:
 
 
 # === sweeps ==========================================================
-
-# Per-trial record layout used by the sweep accumulator.
-_COL_SE_REAL = 0
-_COL_SE_IDEAL = 1
-_COL_HM_AT_LM_MEAN = 2
-_COL_HM_AT_LM_MIN = 3
-_COL_LM_MEAN = 4
-_COL_LM_MIN = 5
-_COL_LM_WORST_STAGE = 6
-_N_COLS = 7
 
 
 @dataclass(frozen=True)
@@ -197,25 +180,13 @@ class SweepSummary:
     points: tuple[SweepPoint, ...]
 
 
-def _trial_record(result: TrialResult) -> np.ndarray:
-    rates = result.rates_real if result.rates_real is not None else result.rates_ideal
-    row = np.empty(_N_COLS)
-    row[_COL_SE_REAL] = np.nan if result.rates_real is None else result.rates_real.se_hm
-    row[_COL_SE_IDEAL] = np.nan if result.rates_ideal is None else result.rates_ideal.se_hm
-    row[_COL_HM_AT_LM_MEAN] = rates.se_hm_at_lm.mean()
-    row[_COL_HM_AT_LM_MIN] = rates.se_hm_at_lm.min()
-    row[_COL_LM_MEAN] = rates.se_lm.mean()
-    row[_COL_LM_MIN] = rates.se_lm.min()
-    row[_COL_LM_WORST_STAGE] = rates.se_lm_min
-    return row
-
-
-def _point_rows(args) -> np.ndarray:
-    cfg, rho_t_db, point_index, start, stop = args
+def _point_rows(task) -> np.ndarray:
+    """Record rows of trials start..stop-1 of one sweep point."""
+    cfg, rho_t_db, point_index, start, stop = task
     rows = np.empty((stop - start, _N_COLS))
     for offset, trial in enumerate(range(start, stop)):
         seed = derive_trial_seed(cfg.master_seed, point_index, trial)
-        rows[offset] = _trial_record(run_trial(cfg, rho_t_db, seed, trial))
+        rows[offset] = run_trial(cfg, rho_t_db, seed)
     return rows
 
 
@@ -296,6 +267,14 @@ def _chunk_bounds(n_trials: int, workers: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+def _usable_cpus() -> int:
+    # The CPUs this process may run on: the affinity mask where the
+    # platform has one, which taskset and CPU-pinned containers narrow.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(
     cfg: SystemConfig,
     workers: int = 1,
@@ -304,25 +283,31 @@ def run_sweep(
     """Run cfg.trials paired trials at every grid point.
 
     Outage is evaluated at the given thresholds (default: cfg.R_th
-    only).  With workers > 1 the trials are distributed over processes;
-    aggregation always reduces the per-trial records in trial order, so
-    the result is bitwise identical for any worker count.
+    only).  The trials of all points form one task list of chunks, run
+    in this process at one worker and otherwise on a pool of
+    min(workers, tasks, CPUs) processes; aggregation always reduces the
+    per-trial records in trial order, so the result is bitwise
+    identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     thresholds = (cfg.R_th,) if thresholds is None else tuple(float(t) for t in thresholds)
-    points = []
-    if workers == 1:
-        for index, rho_t_db in enumerate(cfg.rho_T_grid):
-            rows = _point_rows((cfg, rho_t_db, index, 0, cfg.trials))
-            points.append(_aggregate_point(cfg, rho_t_db, rows, thresholds))
-        return SweepSummary(cfg, thresholds, tuple(points))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for index, rho_t_db in enumerate(cfg.rho_T_grid):
-            tasks = [
-                (cfg, rho_t_db, index, start, stop)
-                for start, stop in _chunk_bounds(cfg.trials, workers)
-            ]
-            rows = np.vstack(list(pool.map(_point_rows, tasks)))
-            points.append(_aggregate_point(cfg, rho_t_db, rows, thresholds))
-    return SweepSummary(cfg, thresholds, tuple(points))
+    processes = min(workers, _usable_cpus())
+    bounds = _chunk_bounds(cfg.trials, processes)
+    tasks = [
+        (cfg, rho_t_db, index, start, stop)
+        for index, rho_t_db in enumerate(cfg.rho_T_grid)
+        for start, stop in bounds
+    ]
+    processes = min(processes, len(tasks))
+    if processes == 1:
+        chunks = list(map(_point_rows, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            chunks = list(pool.map(_point_rows, tasks))
+    n = len(bounds)
+    points = tuple(
+        _aggregate_point(cfg, rho_t_db, np.vstack(chunks[i * n : (i + 1) * n]), thresholds)
+        for i, rho_t_db in enumerate(cfg.rho_T_grid)
+    )
+    return SweepSummary(cfg, thresholds, points)

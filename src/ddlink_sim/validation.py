@@ -166,7 +166,7 @@ def check_empirical_sinr(
     for r in range(n_realizations):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 3, r))
         hm = sample_hm_channel(sub, rng)
-        lm_channels = [sample_lm_channel(sub, user, rng) for user in range(1, sub.U + 1)]
+        lm_channels = sample_lm_channel(sub, rng)
         spectra = hm_eigen_spectra(hm, sub.N, sub.M)
         delta = mmse_spectrum(spectra.lambda_main, sub.rho)
         terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)

@@ -5,7 +5,7 @@ import pytest
 
 from ddlink_sim.channel import (
     HMChannelRealization,
-    LMChannelRealization,
+    LMChannels,
     doppler_tap_span,
     hm_channel_matrices,
     hm_eigen_spectra,
@@ -111,12 +111,14 @@ def test_lm_sampling_path_count_range():
     cfg = SystemConfig()
     rng = np.random.default_rng(31)
     counts = set()
-    for user in range(1, 5):
-        for _ in range(2500):
-            ch = sample_lm_channel(cfg, user, rng)
-            counts.add(ch.gain.size)
-            assert ch.delay.shape == ch.gain.shape
-            assert ch.user == user
+    for _ in range(1250):
+        lm = sample_lm_channel(cfg, rng)
+        assert lm.delay.shape == lm.gain.shape == (cfg.U, 4)
+        live = lm.gain != 0
+        # Paths fill each row from the front; the padding is delay 0.
+        assert np.all(live[:, 0]) and np.all(live[:, :-1] >= live[:, 1:])
+        assert np.all(lm.delay[~live] == 0)
+        counts.update(live.sum(axis=1).tolist())
     assert counts == {1, 2, 3, 4}
 
 
@@ -125,11 +127,11 @@ def test_lm_subchannel_power_is_normalized():
     cfg = SystemConfig()
     rng = np.random.default_rng(37)
     acc = 0.0
-    draws = 25_000
+    draws = 25_000 // cfg.U
     for _ in range(draws):
-        ch = sample_lm_channel(cfg, 1, rng)
-        acc += float(np.abs(lm_subchannel_gains(ch, 3, cfg.M)) ** 2)
-    mean_power = acc / draws
+        lm = sample_lm_channel(cfg, rng)
+        acc += float(np.sum(np.abs(lm_subchannel_gains(lm, cfg.M)) ** 2))
+    mean_power = acc / (draws * cfg.U)
     assert 0.97 <= mean_power <= 1.03
 
 
@@ -151,10 +153,15 @@ def test_path_validation():
         HMChannelRealization([], [], [], np.array([], dtype=complex), 3)
     with pytest.raises(ValueError):
         hm_channel(kappa=(0.0,))
+    LMChannels([[0, 2]], np.ones((1, 2), dtype=complex))
     with pytest.raises(ValueError):
-        LMChannelRealization(0, [0], np.ones(1, dtype=complex))
+        LMChannels([0], np.ones(1, dtype=complex))
     with pytest.raises(ValueError):
-        LMChannelRealization(1, [], np.array([], dtype=complex))
+        LMChannels(np.zeros((0, 4)), np.zeros((0, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        LMChannels([[0, 0]], np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValueError):
+        LMChannels([[0]], np.ones((1, 2), dtype=complex))
 
 
 def test_ideal_copy_zeroes_only_kappa():
@@ -219,41 +226,55 @@ def test_spectral_split_identity():
         assert residual <= 1e-10 * max(np.abs(lambda_full).max(), 1.0)
 
 
-def test_lm_spectrum_matches_dense_matrix():
-    cfg = small_config()
-    ch = sample_lm_channel(cfg, 2, np.random.default_rng(73))
-    lam = lm_eigen_spectrum(ch, cfg.N, cfg.M)
-    oracle = diagonalize_bccb(lm_channel_matrix(ch, cfg.N, cfg.M), build_basis(cfg.N, cfg.M))
-    assert np.abs(oracle - lam).max() < 1e-9 * max(np.abs(oracle).max(), 1.0)
-
-
 def test_lm_spectrum_is_constant_along_doppler():
+    # A delay-only channel diagonalizes to one value per delay bin, which
+    # is why lm_eigen_spectrum keeps only the M delay bins.
     cfg = small_config()
-    ch = sample_lm_channel(cfg, 1, np.random.default_rng(79))
-    lam = lm_eigen_spectrum(ch, cfg.N, cfg.M).reshape(cfg.M, cfg.N)
-    assert np.abs(lam - lam[:, :1]).max() < 1e-12
+    lm = sample_lm_channel(cfg, np.random.default_rng(79))
+    basis = build_basis(cfg.N, cfg.M)
+    for user in (1, cfg.U):
+        dense = lm_channel_matrix(lm, user, cfg.N, cfg.M)
+        lam = diagonalize_bccb(dense, basis).reshape(cfg.M, cfg.N)
+        assert np.abs(lam - lam[:, :1]).max() < 1e-12
+
+
+def test_lm_spectrum_matches_dense_matrix():
+    # Every user's dense delay-only matrix diagonalizes to its delay-bin
+    # spectrum repeated along the Doppler axis.
+    cfg = small_config(U=8)
+    lm = sample_lm_channel(cfg, np.random.default_rng(73))
+    lam = lm_eigen_spectrum(lm, cfg.M)
+    assert lam.shape == (cfg.U, cfg.M)
+    basis = build_basis(cfg.N, cfg.M)
+    for user in range(1, cfg.U + 1):
+        oracle = diagonalize_bccb(lm_channel_matrix(lm, user, cfg.N, cfg.M), basis)
+        fast = np.repeat(lam[user - 1], cfg.N)
+        assert np.abs(oracle - fast).max() < 1e-9 * max(np.abs(oracle).max(), 1.0)
 
 
 # === LM subchannel gains =============================================
 
 
+def same_channel_users(n_users, delay, gain):
+    gain = np.asarray(gain, dtype=complex)
+    return LMChannels(np.tile(delay, (n_users, 1)), np.tile(gain, (n_users, 1)))
+
+
 def test_lm_gain_single_path_is_flat():
-    ch = LMChannelRealization(1, [0], np.array([1.0 + 0j]))
-    for m in range(8):
-        assert abs(lm_subchannel_gains(ch, m, 8) - 1.0) < 1e-12
+    gains = lm_subchannel_gains(same_channel_users(8, [0], [1.0]), 8)
+    assert np.abs(gains - 1.0).max() < 1e-12
 
 
 def test_lm_gain_two_path_comb():
-    ch = LMChannelRealization(1, [0, 8], np.array([1.0 + 0j, 1.0 + 0j]))
+    gains = lm_subchannel_gains(same_channel_users(16, [0, 8], [1.0, 1.0]), 16)
     for m in range(16):
         expected = 2.0 if m % 2 == 0 else 0.0
-        assert abs(lm_subchannel_gains(ch, m, 16) - expected) < 1e-12
+        assert abs(gains[m] - expected) < 1e-12
 
 
 def test_lm_gain_periodic_in_subcarrier():
     cfg = small_config()
-    ch = sample_lm_channel(cfg, 3, np.random.default_rng(83))
-    for m in range(cfg.M):
-        a = lm_subchannel_gains(ch, m, cfg.M)
-        b = lm_subchannel_gains(ch, m + cfg.M, cfg.M)
-        assert abs(a - b) < 1e-12
+    lm = sample_lm_channel(cfg, np.random.default_rng(83))
+    row = 2
+    gains = lm_subchannel_gains(same_channel_users(2 * cfg.M, lm.delay[row], lm.gain[row]), cfg.M)
+    assert np.abs(gains[: cfg.M] - gains[cfg.M :]).max() < 1e-12

@@ -127,6 +127,14 @@ def test_zero_workers_exits_2(tmp_path):
     assert code == 2
 
 
+def test_validate_takes_no_trials_or_workers():
+    # The suite's sizes are fixed, so these sweep flags are usage errors.
+    for flag in ("--workers", "--trials"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", flag, "2"])
+        assert exc.value.code == 2
+
+
 def test_single_mode_sweep_exits_2(tmp_path):
     path = write_config(tmp_path, dict(SMALL, mode="real"))
     code = cli.main(["hm-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -275,7 +283,8 @@ def test_validate_writes_report_when_out_given(tmp_path, monkeypatch):
     assert cli.main(["validate", "--config", str(config_path), "--out", str(out)]) == 0
     payload = json.loads((out / "validation_report.json").read_text(encoding="utf-8"))
     assert payload["checks"][0]["name"] == "a"
-    assert (out / "validate_manifest.json").exists()
+    manifest = json.loads((out / "validate_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["workers"] == 1
 
 
 def test_validate_report_serializes_real_check_results(tmp_path, monkeypatch):

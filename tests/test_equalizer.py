@@ -111,7 +111,8 @@ def test_snr_saturates_at_power_ratio():
 def test_degenerate_spectrum_raises():
     with pytest.raises(DegenerateSpectrum):
         hm_detection_snr(DetectionPowerTerms(0.0, 0.0, 0.0), 0.5, 10.0)
-    lam = np.zeros(8, dtype=complex)
+    lam = np.ones((3, 8), dtype=complex)
+    lam[1] = 0.0
     with pytest.raises(DegenerateSpectrum):
         hm_at_lm_snr(mmse_spectrum(lam, 1.0), lam, 0.5, 10.0)
 
@@ -164,13 +165,16 @@ def test_hm_at_lm_flat_values():
 
 
 def test_hm_at_lm_full_power_has_no_interference_term():
+    # One SNR per user: the energies are means over each row's bins.
     rng = np.random.default_rng(31)
-    lam = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    lam = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
     delta = mmse_spectrum(lam, 1.0)
-    forward = float(np.mean(np.abs(delta) ** 2 * np.abs(lam) ** 2))
-    noise = float(np.mean(np.abs(delta) ** 2))
     got = hm_at_lm_snr(delta, lam, 1.0, 7.0)
-    assert got == pytest.approx(7.0 * forward / noise, rel=1e-12)
+    assert got.shape == (3,)
+    for user in range(3):
+        forward = float(np.mean(np.abs(delta[user]) ** 2 * np.abs(lam[user]) ** 2))
+        noise = float(np.mean(np.abs(delta[user]) ** 2))
+        assert got[user] == pytest.approx(7.0 * forward / noise, rel=1e-12)
 
 
 def test_hm_at_lm_monotone_in_p0():
@@ -194,7 +198,8 @@ def test_lm_snr_direct_product():
 
 def test_lm_snr_scales_with_gain_power():
     base = lm_detection_snr(0.1, 10.0, 1.0 + 1.0j)
-    assert lm_detection_snr(0.1, 10.0, 2.0 + 2.0j) == pytest.approx(4.0 * base, rel=1e-12)
+    got = lm_detection_snr(np.array([0.1, 0.1]), 10.0, np.array([2.0 + 2.0j, 1.0 - 1.0j]))
+    assert got == pytest.approx([4.0 * base, base], rel=1e-12)
 
 
 def test_lm_snr_rejects_negative_share():
@@ -236,15 +241,11 @@ def clean_single_path(cfg, gain=1.0):
     return HMChannelRealization([0], [0], [0.0], np.array([beamformed]), cfg.N_p)
 
 
-def lm_set(cfg, rng):
-    return [sample_lm_channel(cfg, user, rng) for user in range(1, cfg.U + 1)]
-
-
 def test_empirical_noise_free_identity_channel():
     cfg = small_config(mode="real", p0=1.0)
     rng = np.random.default_rng(51)
     ch = clean_single_path(cfg)
-    got = empirical_hm_sinr(ch, lm_set(cfg, rng), cfg, 1e12, rng, n_symbols=4000)
+    got = empirical_hm_sinr(ch, sample_lm_channel(cfg, rng), cfg, 1e12, rng, n_symbols=4000)
     # Full power on the strong user over an identity-like channel with
     # essentially no noise: the measured ratio is limited only by the
     # regularizer bias, far above 1e6.
@@ -255,7 +256,7 @@ def test_empirical_zero_power_is_zero():
     cfg = small_config(mode="real", p0=0.0)
     rng = np.random.default_rng(52)
     ch = clean_single_path(cfg)
-    got = empirical_hm_sinr(ch, lm_set(cfg, rng), cfg, 10.0, rng, n_symbols=2000)
+    got = empirical_hm_sinr(ch, sample_lm_channel(cfg, rng), cfg, 10.0, rng, n_symbols=2000)
     assert got.value == 0.0
     assert got.stderr == 0.0
 
@@ -264,7 +265,7 @@ def test_empirical_frame_accounting():
     cfg = small_config(mode="real")
     rng = np.random.default_rng(53)
     ch = sample_hm_channel(cfg, rng)
-    got = empirical_hm_sinr(ch, lm_set(cfg, rng), cfg, 10.0, rng, n_symbols=1000)
+    got = empirical_hm_sinr(ch, sample_lm_channel(cfg, rng), cfg, 10.0, rng, n_symbols=1000)
     assert got.n_frames == int(np.ceil(1000 / (cfg.N * cfg.M)))
     assert 0.0 < got.stderr < got.value
 
@@ -296,7 +297,7 @@ def test_empirical_matches_per_bin_power_model():
     for seed in (61, 62, 63):
         rng = np.random.default_rng(seed)
         ch = sample_hm_channel(cfg, rng)
-        lm_channels = lm_set(cfg, rng)
+        lm_channels = sample_lm_channel(cfg, rng)
         model = per_bin_power_model(cfg, ch, rho_t)
         got = empirical_hm_sinr(ch, lm_channels, cfg, rho_t, rng, n_symbols=50_000)
         assert got.value == pytest.approx(model, rel=0.03)
@@ -310,7 +311,7 @@ def test_empirical_near_closed_form_on_average():
     rho_t = 10.0
     rng = np.random.default_rng(71)
     ch = sample_hm_channel(cfg, rng)
-    lm_channels = lm_set(cfg, rng)
+    lm_channels = sample_lm_channel(cfg, rng)
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
     delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
     terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from ddlink_sim.config import SystemConfig
+from ddlink_sim import simkit
+from ddlink_sim.config import SystemConfig, ValidationError
 from ddlink_sim.simkit import (
-    TrialResult,
+    _COL_HM_AT_LM_MEAN,
+    _COL_LM_MIN,
+    _COL_LM_WORST_STAGE,
+    _COL_SE_IDEAL,
+    _COL_SE_REAL,
+    _N_COLS,
     _chunk_bounds,
+    _point_rows,
     db_to_linear,
     derive_trial_seed,
     outage_probability,
@@ -61,42 +68,50 @@ def test_db_to_linear():
 
 def test_trial_deterministic():
     cfg = small_config()
-    a = run_trial(cfg, 10.0, 12345, trial_index=7)
-    b = run_trial(cfg, 10.0, 12345, trial_index=7)
-    assert a.rates_real.se_hm == b.rates_real.se_hm
-    assert a.rates_ideal.se_hm == b.rates_ideal.se_hm
-    assert np.array_equal(a.rates_real.se_lm, b.rates_real.se_lm)
-    assert a.seed == 12345 and a.trial_index == 7
+    a = run_trial(cfg, 10.0, 12345)
+    b = run_trial(cfg, 10.0, 12345)
+    assert a.shape == (_N_COLS,)
+    assert np.array_equal(a, b)
 
 
 def test_trial_lm_side_shared_between_members():
-    # The LM stages carry no fractional Doppler, so the paired members
-    # must agree on them bit for bit.
-    cfg = small_config()
-    result = run_trial(cfg, 10.0, 999)
-    assert np.array_equal(result.rates_real.se_lm, result.rates_ideal.se_lm)
-    assert np.array_equal(result.rates_real.se_hm_at_lm, result.rates_ideal.se_hm_at_lm)
-    assert result.rates_real.se_lm_min == result.rates_ideal.se_lm_min
+    # The LM stages carry no fractional Doppler, so they must not depend
+    # on which members the trial simulates, bit for bit.
+    rows = [run_trial(small_config(mode=mode), 10.0, 999) for mode in ("both", "real", "ideal")]
+    for row in rows[1:]:
+        assert np.array_equal(row[_COL_HM_AT_LM_MEAN:], rows[0][_COL_HM_AT_LM_MEAN:])
 
 
 def test_trial_mode_selects_members():
     real_only = run_trial(small_config(mode="real"), 10.0, 5)
-    assert real_only.rates_real is not None and real_only.rates_ideal is None
+    assert np.isfinite(real_only[_COL_SE_REAL]) and np.isnan(real_only[_COL_SE_IDEAL])
     ideal_only = run_trial(small_config(mode="ideal"), 10.0, 5)
-    assert ideal_only.rates_real is None and ideal_only.rates_ideal is not None
+    assert np.isnan(ideal_only[_COL_SE_REAL]) and np.isfinite(ideal_only[_COL_SE_IDEAL])
+    assert np.isfinite(run_trial(small_config(), 10.0, 5)).all()
 
 
 def test_trial_result_requires_a_member():
-    with pytest.raises(ValueError, match="member"):
-        TrialResult(None, None, 0, 0)
+    # Every accepted mode simulates at least one HM member; no other
+    # mode is accepted.
+    for mode in ("both", "real", "ideal"):
+        row = run_trial(small_config(mode=mode), 10.0, 6)
+        assert np.isfinite(row[[_COL_SE_REAL, _COL_SE_IDEAL]]).any()
+    with pytest.raises(ValidationError, match="mode"):
+        small_config(mode="neither")
+
+
+def test_trial_worst_stage_without_hm_stage_is_lm_min():
+    for seed in range(5):
+        row = run_trial(small_config(lm_min_includes_hm_stage=False), 30.0, seed)
+        assert row[_COL_LM_WORST_STAGE] == row[_COL_LM_MIN]
 
 
 def test_ideal_beats_real_on_average():
     cfg = small_config()
     diffs = []
     for trial in range(300):
-        result = run_trial(cfg, 10.0, derive_trial_seed(7, 0, trial), trial)
-        diffs.append(result.rates_ideal.se_hm - result.rates_real.se_hm)
+        row = run_trial(cfg, 10.0, derive_trial_seed(7, 0, trial))
+        diffs.append(row[_COL_SE_IDEAL] - row[_COL_SE_REAL])
     diffs = np.asarray(diffs)
     # Removing the Doppler leakage can only help; the mean improvement
     # should clear zero by many standard errors.
@@ -106,7 +121,7 @@ def test_ideal_beats_real_on_average():
 # Outputs of run_trial at the default config, recorded at version 0.1.0
 # (per-antenna channel draws) and kept to guard the physics through
 # refactors of the draw and spectra path: (seed, rho_T dB, se_hm Real,
-# se_hm Ideal, se_hm_at_lm, se_lm, se_lm_min).
+# se_hm Ideal, se_hm_at_lm per user, se_lm per user, se_lm_min).
 PRESERVED_TRIALS = [
     (11, 0.0, 0.24301366394213947, 0.4491533692465179,
      [0.34765798732363096, 0.29184374439121435, 0.4713517443119708, 0.24654322120857194, 0.28910536975628304, 0.4547702099418365, 0.5290837789067809, 0.17360714583715314],
@@ -149,13 +164,9 @@ PRESERVED_TRIALS = [
 
 @pytest.mark.parametrize("seed, db, real, ideal, hm_at_lm, lm, lm_min", PRESERVED_TRIALS)
 def test_trial_values_preserved(seed, db, real, ideal, hm_at_lm, lm, lm_min):
-    result = run_trial(SystemConfig(), db, seed)
-    assert result.rates_real.se_hm == pytest.approx(real, rel=1e-12)
-    assert result.rates_ideal.se_hm == pytest.approx(ideal, rel=1e-12)
-    for rates in (result.rates_real, result.rates_ideal):
-        assert rates.se_hm_at_lm == pytest.approx(np.array(hm_at_lm), rel=1e-12)
-        assert rates.se_lm == pytest.approx(np.array(lm), rel=1e-12)
-        assert rates.se_lm_min == pytest.approx(lm_min, rel=1e-12)
+    hm_at_lm, lm = np.array(hm_at_lm), np.array(lm)
+    expected = [real, ideal, hm_at_lm.mean(), hm_at_lm.min(), lm.mean(), lm.min(), lm_min]
+    assert run_trial(SystemConfig(), db, seed) == pytest.approx(expected, rel=1e-12)
 
 
 # === outage ==========================================================
@@ -232,6 +243,52 @@ def test_sweep_worker_counts_agree_bitwise():
     pooled = run_sweep(cfg, workers=3, thresholds=(0.3, 0.6))
     for a, b in zip(serial.points, pooled.points):
         assert a == b
+
+
+def test_point_rows_independent_of_chunking():
+    cfg = small_config()
+    whole = _point_rows((cfg, 10.0, 1, 0, 13))
+    for cuts in ((0, 13), (0, 1, 13), (0, 5, 6, 13), tuple(range(14))):
+        parts = [_point_rows((cfg, 10.0, 1, a, b)) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.vstack(parts), whole)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(simkit.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    cfg = small_config(trials=2)
+    serial = run_sweep(cfg)
+    assert RecordingPool.sizes == []
+    # 2 points x 2 one-trial chunks: four tasks, however many workers.
+    assert run_sweep(cfg, workers=500) == serial
+    # The affinity mask, not the host's CPU count, bounds the pool.
+    monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 5, 9})
+    assert run_sweep(cfg.replace(trials=40), workers=500).points[0].n_trials == 40
+    # Without an affinity call the host's CPU count does.
+    monkeypatch.delattr(simkit.os, "sched_getaffinity")
+    monkeypatch.setattr(simkit.os, "cpu_count", lambda: 2)
+    assert run_sweep(cfg.replace(trials=40), workers=500).points[0].n_trials == 40
+    assert RecordingPool.sizes == [4, 3, 2]
 
 
 def test_sweep_rejects_bad_workers():
