@@ -6,7 +6,7 @@ user's channel.  The package quantifies that leakage's cost in spectral
 efficiency and outage probability with paired Monte Carlo trials.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .channel import (
     EigenSpectra,

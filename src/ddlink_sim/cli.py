@@ -132,23 +132,30 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(
-    out_dir: Path, command: str, cfg: SystemConfig, workers: int, outputs: list[str]
+    out_dir: Path,
+    command: str,
+    cfg: SystemConfig,
+    workers: int,
+    outputs: list[str],
+    timing: dict | None = None,
 ) -> Path:
+    """Write the run manifest; timings vary between runs, so they go
+    here and never into the CSVs or summaries."""
     name = command.replace("-", "_")
     path = out_dir / f"{name}_manifest.json"
-    _write_json(
-        path,
-        {
-            "tool": "ddlink-sim",
-            "version": __version__,
-            "command": command,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "master_seed": cfg.master_seed,
-            "workers": workers,
-            "config": cfg.to_dict(),
-            "outputs": outputs,
-        },
-    )
+    manifest = {
+        "tool": "ddlink-sim",
+        "version": __version__,
+        "command": command,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "master_seed": cfg.master_seed,
+        "workers": workers,
+        "config": cfg.to_dict(),
+        "outputs": outputs,
+    }
+    if timing is not None:
+        manifest["timing"] = timing
+    _write_json(path, manifest)
     return path
 
 
@@ -272,8 +279,20 @@ def cmd_outage(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    results = run_validation(cfg, report=print)
+    # run_validation reports each check as soon as it finishes, so the
+    # gaps between the report calls are the checks' run times.
+    stamps = [time.perf_counter()]
+
+    def report(line: str) -> None:
+        stamps.append(time.perf_counter())
+        print(line)
+
+    results = run_validation(cfg, report=report)
     if args.out is not None:
+        seconds = {
+            result.name: round(end - start, 6)
+            for result, start, end in zip(results, stamps, stamps[1:])
+        }
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(
@@ -285,7 +304,7 @@ def cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
                 "checks": [asdict(result) for result in results],
             },
         )
-        _write_manifest(out_dir, "validate", cfg, 1, ["validation_report.json"])
+        _write_manifest(out_dir, "validate", cfg, 1, ["validation_report.json"], seconds)
     failed = [result for result in results if not result.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0

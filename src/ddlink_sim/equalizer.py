@@ -131,6 +131,11 @@ def spectral_decomposition_residual(
 
 # === signal-level oracle =============================================
 
+# Frames the oracle transmits per block: one normal draw and three
+# matrix-matrix products each.  Larger blocks are no faster and raise
+# the peak memory.
+_FRAME_BLOCK = 16
+
 
 def empirical_hm_sinr(
     ch: HMChannelRealization,
@@ -147,8 +152,10 @@ def empirical_hm_sinr(
     transmits white unit-power symbol vectors for all U + 1 users with
     the configured power split, adds noise of variance 1/rho_t, and
     compares the known equalized signal component against the residual.
-    The closed-form `hm_detection_snr` should agree with the returned
-    value up to the cross terms it neglects plus Monte Carlo noise.
+    The frames go through in blocks of `_FRAME_BLOCK`; the estimate is
+    over per-frame powers, with a delta-method standard error.  The
+    closed-form `hm_detection_snr` should agree with the returned value
+    up to the cross terms it neglects plus Monte Carlo noise.
     """
     from .noma import allocate_power  # local import, noma depends on this module
 
@@ -165,21 +172,26 @@ def empirical_hm_sinr(
 
     sigma = np.sqrt(1.0 / rho_t)
     n_frames = max(1, int(np.ceil(n_symbols / nm)))
+    n_users = len(shares)
     sig_power = np.empty(n_frames)
     res_power = np.empty(n_frames)
     root_half = np.sqrt(0.5)
-    for frame in range(n_frames):
-        streams = root_half * (
-            rng.standard_normal((len(shares), nm)) + 1j * rng.standard_normal((len(shares), nm))
-        )
-        superposed = amp @ streams
-        noise = sigma * root_half * (rng.standard_normal(nm) + 1j * rng.standard_normal(nm))
-        received = h_full @ superposed + noise
-        equalized = equalizer @ received
-        signal = amp[0] * (signal_map @ streams[0])
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        n_block = min(_FRAME_BLOCK, n_frames - start)
+        # One row per frame, in the per-frame draw order: every user's
+        # real parts, their imaginary parts, then the noise's real and
+        # imaginary parts.  The normals are sequential, so this is the
+        # same stream as drawing them frame by frame.
+        draws = rng.standard_normal((n_block, 2 * n_users + 2, nm))
+        re, im = draws[:, :n_users], draws[:, n_users : 2 * n_users]
+        superposed = root_half * (amp @ re + 1j * (amp @ im))
+        noise = sigma * root_half * (draws[:, -2] + 1j * draws[:, -1])
+        equalized = equalizer @ (h_full @ superposed.T + noise.T)
+        own = root_half * (re[:, 0] + 1j * im[:, 0])
+        signal = amp[0] * (signal_map @ own.T)
         residual = equalized - signal
-        sig_power[frame] = np.vdot(signal, signal).real
-        res_power[frame] = np.vdot(residual, residual).real
+        sig_power[start : start + n_block] = np.sum(np.abs(signal) ** 2, axis=0)
+        res_power[start : start + n_block] = np.sum(np.abs(residual) ** 2, axis=0)
 
     s_mean = sig_power.mean()
     r_mean = res_power.mean()

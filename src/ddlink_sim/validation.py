@@ -21,6 +21,7 @@ from .channel import (
     HMChannelRealization,
     _doppler_responses,
     _path_sum,
+    _subpath_ratios,
     hm_channel_matrices,
     hm_eigen_spectra,
     sample_hm_channel,
@@ -142,10 +143,10 @@ def check_ratio_identities(cfg: SystemConfig, n_offsets: int = 100) -> CheckResu
         rng = np.random.default_rng(
             derive_trial_seed(cfg.master_seed, _SEED_BASE + 2, size_index)
         )
-        for kappa in 0.5 - rng.random(n_offsets):
-            ratios = np.array([subpath_ratio(q, kappa, n) for q in range(n)])
-            worst = max(worst, abs(ratios.sum() - 1.0))
-            worst = max(worst, abs(float((np.abs(ratios) ** 2).sum()) - 1.0))
+        kappas = 0.5 - rng.random(n_offsets)
+        ratios = _subpath_ratios(np.arange(n), kappas[:, None], n)  # (offsets, n)
+        worst = max(worst, float(np.abs(ratios.sum(axis=1) - 1.0).max()))
+        worst = max(worst, float(np.abs((np.abs(ratios) ** 2).sum(axis=1) - 1.0).max()))
     detail = f"max identity error, {n_offsets} offsets per grid size in (8, 16, 32)"
     return _result("ratio-identities", worst, 1e-12, "<=", detail)
 

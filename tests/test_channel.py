@@ -6,6 +6,7 @@ import pytest
 from ddlink_sim.channel import (
     HMChannelRealization,
     LMChannels,
+    _subpath_ratios,
     doppler_tap_span,
     hm_channel_matrices,
     hm_eigen_spectra,
@@ -57,6 +58,18 @@ def test_ratio_full_period_energy_is_one():
             ratios = np.array([subpath_ratio(q, kappa, n) for q in range(n)])
             assert abs(ratios.sum() - 1.0) < 1e-12
             assert abs((np.abs(ratios) ** 2).sum() - 1.0) < 1e-12
+
+
+def test_ratio_array_equals_scalar_bitwise():
+    # The validation suite evaluates every (offset, q) pair in one call;
+    # it must observe exactly what the scalar form gives.
+    rng = np.random.default_rng(102)
+    for n in (8, 16, 32):
+        kappas = np.concatenate([[0.0, 0.5, -0.25], 0.5 - rng.random(20)])
+        qs = np.arange(-n, 2 * n)
+        table = _subpath_ratios(qs, kappas[:, None], n)
+        for row, kappa in zip(table, kappas):
+            assert [complex(v) for v in row] == [subpath_ratio(q, kappa, n) for q in qs]
 
 
 def test_ratio_truncation_keeps_most_energy():

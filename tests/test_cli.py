@@ -287,6 +287,29 @@ def test_validate_writes_report_when_out_given(tmp_path, monkeypatch):
     assert manifest["workers"] == 1
 
 
+def test_validate_manifest_times_each_check(tmp_path, monkeypatch):
+    def fake_validation(cfg, report):
+        results = []
+        for name in ("a", "b"):
+            results.append(passing_check(name))
+            report(name)
+        return results
+
+    monkeypatch.setattr(cli, "run_validation", fake_validation)
+    config_path = write_config(tmp_path, SMALL)
+    reports = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert cli.main(["validate", "--config", str(config_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "validate_manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["timing"]) == ["a", "b"]
+        assert all(seconds >= 0.0 for seconds in manifest["timing"].values())
+        reports.append((out / "validation_report.json").read_bytes())
+    # Timings live in the manifest only; the report stays byte-stable.
+    assert reports[0] == reports[1]
+    assert b"timing" not in reports[0]
+
+
 def test_validate_report_serializes_real_check_results(tmp_path, monkeypatch):
     # Real checks compare numpy scalars; the results must still carry
     # plain Python values all the way through the JSON report writer.

@@ -6,7 +6,9 @@ import pytest
 from ddlink_sim.channel import (
     EigenSpectra,
     HMChannelRealization,
+    hm_channel_matrices,
     hm_eigen_spectra,
+    lm_subchannel_gains,
     sample_hm_channel,
     sample_lm_channel,
     uniform_weights,
@@ -15,6 +17,7 @@ from ddlink_sim.config import SystemConfig
 from ddlink_sim.equalizer import (
     DegenerateSpectrum,
     DetectionPowerTerms,
+    EmpiricalSinr,
     detection_power_terms,
     empirical_hm_sinr,
     hm_at_lm_snr,
@@ -23,6 +26,7 @@ from ddlink_sim.equalizer import (
     mmse_spectrum,
     spectral_decomposition_residual,
 )
+from ddlink_sim.noma import allocate_power
 from ddlink_sim.validation import full_spectrum
 
 
@@ -301,6 +305,59 @@ def test_empirical_matches_per_bin_power_model():
         model = per_bin_power_model(cfg, ch, rho_t)
         got = empirical_hm_sinr(ch, lm_channels, cfg, rho_t, rng, n_symbols=50_000)
         assert got.value == pytest.approx(model, rel=0.03)
+
+
+def per_frame_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
+    """`empirical_hm_sinr` one frame at a time, with four draws per
+    frame: the reference for the blocked oracle."""
+    nm = cfg.N * cfg.M
+    h_main, _, h_full = hm_channel_matrices(ch, cfg.N, cfg.M)
+    gram = h_main.conj().T @ h_main + cfg.rho * np.eye(nm)
+    equalizer = np.linalg.solve(gram, h_main.conj().T)
+    signal_map = equalizer @ h_main
+    amp = np.sqrt(allocate_power(cfg.p0, lm_subchannel_gains(lm_channels, cfg.M)))
+    sigma = np.sqrt(1.0 / rho_t)
+    n_frames = max(1, int(np.ceil(n_symbols / nm)))
+    sig_power = np.empty(n_frames)
+    res_power = np.empty(n_frames)
+    root_half = np.sqrt(0.5)
+    for frame in range(n_frames):
+        streams = root_half * (
+            rng.standard_normal((len(amp), nm)) + 1j * rng.standard_normal((len(amp), nm))
+        )
+        noise = sigma * root_half * (rng.standard_normal(nm) + 1j * rng.standard_normal(nm))
+        equalized = equalizer @ (h_full @ (amp @ streams) + noise)
+        signal = amp[0] * (signal_map @ streams[0])
+        residual = equalized - signal
+        sig_power[frame] = np.vdot(signal, signal).real
+        res_power[frame] = np.vdot(residual, residual).real
+    s_mean, r_mean = sig_power.mean(), res_power.mean()
+    value = s_mean / r_mean
+    if n_frames == 1:
+        return EmpiricalSinr(value, float("nan"), n_frames)
+    s_var = sig_power.var(ddof=1) / n_frames
+    r_var = res_power.var(ddof=1) / n_frames
+    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
+    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
+    return EmpiricalSinr(value, value * np.sqrt(max(rel_var, 0.0)), n_frames)
+
+
+@pytest.mark.parametrize("n_frames", [1, 16, 37])
+def test_blocked_oracle_matches_per_frame_loop(n_frames):
+    # 37 frames are two full blocks and a partial one.
+    cfg = small_config(mode="real")
+    n_symbols = n_frames * cfg.N * cfg.M
+    rng = np.random.default_rng(81)
+    ch = sample_hm_channel(cfg, rng)
+    lm_channels = sample_lm_channel(cfg, rng)
+    rng_blocked, rng_loop = np.random.default_rng(82), np.random.default_rng(82)
+    got = empirical_hm_sinr(ch, lm_channels, cfg, 10.0, rng_blocked, n_symbols=n_symbols)
+    want = per_frame_oracle(ch, lm_channels, cfg, 10.0, rng_loop, n_symbols)
+    assert got.n_frames == want.n_frames == n_frames
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.stderr == pytest.approx(want.stderr, rel=1e-12, nan_ok=True)
+    # Same draws consumed: the generators continue identically.
+    assert rng_blocked.standard_normal() == rng_loop.standard_normal()
 
 
 def test_empirical_near_closed_form_on_average():
