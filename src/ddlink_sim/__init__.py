@@ -6,7 +6,7 @@ user's channel.  The package quantifies that leakage's cost in spectral
 efficiency and outage probability with paired Monte Carlo trials.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .channel import (
     EigenSpectra,
@@ -47,14 +47,7 @@ from .grids import (
     diagonalize_bccb,
 )
 from .noma import ZeroGain, allocate_power, assemble_rates
-from .simkit import (
-    SweepPoint,
-    SweepSummary,
-    derive_trial_seed,
-    outage_probability,
-    run_sweep,
-    run_trial,
-)
+from .simkit import derive_trial_seed, run_sweep, run_trial
 from .validation import CheckResult, run_validation
 
 __all__ = [
@@ -68,8 +61,6 @@ __all__ = [
     "NotBlockCirculant",
     "ParseError",
     "SpectralBasis",
-    "SweepPoint",
-    "SweepSummary",
     "SystemConfig",
     "ValidationError",
     "ZeroGain",
@@ -91,7 +82,6 @@ __all__ = [
     "lm_subchannel_gains",
     "load_config",
     "mmse_spectrum",
-    "outage_probability",
     "run_sweep",
     "run_trial",
     "sample_hm_channel",

@@ -25,44 +25,37 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, SystemConfig, ValidationError, load_config
-from .simkit import SweepSummary, run_sweep
+from .simkit import OUTAGE_STATS, STATS, run_sweep
 from .validation import run_validation
 
-_SWEEP_P0_VALUES = (0.5, 0.8)
-_OUTAGE_THRESHOLDS = (0.3, 0.6)
 
-_HM_HEADER = (
-    "rho_t_db",
-    "p0",
-    "se_hm_real_mean",
-    "se_hm_real_stderr",
-    "se_hm_ideal_mean",
-    "se_hm_ideal_stderr",
-    "gap",
-)
-_LM_HEADER = (
-    "rho_t_db",
-    "p0",
-    "se_hm_at_lm_mean",
-    "se_hm_at_lm_mean_stderr",
-    "se_hm_at_lm_min",
-    "se_hm_at_lm_min_stderr",
-    "se_lm_mean",
-    "se_lm_mean_stderr",
-    "se_lm_min",
-    "se_lm_min_stderr",
-    "se_lm_worst_stage",
-    "se_lm_worst_stage_stderr",
-)
-_OUTAGE_HEADER = (
-    "rho_t_db",
-    "p0",
-    "r_th",
-    "outage_real",
-    "outage_real_stderr",
-    "outage_ideal",
-    "outage_ideal_stderr",
-)
+def _columns(table, prefix: str = "") -> tuple:
+    """CSV columns (header, summary field) of every field in table."""
+    return tuple((prefix + field, field) for pair in table for field in pair)
+
+
+_POINT_COLUMNS = (("rho_t_db", "rho_t_db"), ("p0", "p0"))
+
+# Per sweep command: the p0 values (None: the config's own), the outage
+# thresholds (None: the config's R_th), whether it compares the Real and
+# Ideal members, and the CSV columns as (header, summary field).  A CSV
+# row is one (grid point, outage threshold) pair; the two rate sweeps
+# keep the single default threshold, so theirs is one row per point.
+_SWEEPS = {
+    "hm-sweep": (
+        (0.5, 0.8),
+        None,
+        True,
+        _POINT_COLUMNS + _columns(STATS[:2]) + (("gap", STATS[2][0]),),
+    ),
+    "lm-sweep": ((0.5, 0.8), None, False, _POINT_COLUMNS + _columns(STATS[3:])),
+    "outage": (
+        None,
+        (0.3, 0.6),
+        True,
+        _POINT_COLUMNS + (("r_th", "r_th"),) + _columns(OUTAGE_STATS, "outage_"),
+    ),
+}
 
 
 # === argument handling ===============================================
@@ -105,14 +98,6 @@ def _resolve_config(args: argparse.Namespace) -> SystemConfig:
     if getattr(args, "trials", None) is not None:
         changes["trials"] = args.trials
     return cfg.replace(**changes) if changes else cfg
-
-
-def _require_both_modes(cfg: SystemConfig, command: str) -> None:
-    if cfg.mode != "both":
-        raise ValidationError(
-            f"{command} compares the Real and Ideal members and needs "
-            f"mode 'both', got {cfg.mode!r}"
-        )
 
 
 # === output files ====================================================
@@ -159,122 +144,45 @@ def _write_manifest(
     return path
 
 
-def _summary_payload(command: str, cfg: SystemConfig, sweeps: list[SweepSummary]) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "sweeps": [
-            {
-                "p0": summary.config.p0,
-                "thresholds": list(summary.thresholds),
-                "points": [asdict(point) for point in summary.points],
-            }
-            for summary in sweeps
-        ],
-    }
-
-
 # === subcommands =====================================================
 
 
-def _run_p0_sweeps(cfg: SystemConfig, workers: int, thresholds=None) -> list[SweepSummary]:
+def cmd_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    """Run the command's p0 shares in turn; write its CSV, summary and manifest."""
+    p0_values, thresholds, both_members, columns = _SWEEPS[args.command]
+    if both_members and cfg.mode != "both":
+        raise ValidationError(
+            f"{args.command} compares the Real and Ideal members and needs "
+            f"mode 'both', got {cfg.mode!r}"
+        )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sweeps = []
-    for p0 in _SWEEP_P0_VALUES:
+    for p0 in p0_values or (cfg.p0,):
         started = time.perf_counter()
-        sweeps.append(run_sweep(cfg.replace(p0=p0), workers=workers, thresholds=thresholds))
+        sweeps.append(run_sweep(cfg.replace(p0=p0), workers=args.workers, thresholds=thresholds))
         print(
             f"p0={p0}: {len(cfg.rho_T_grid)} points x {cfg.trials} trials "
             f"in {time.perf_counter() - started:.1f} s"
         )
-    return sweeps
-
-
-def cmd_hm_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    _require_both_modes(cfg, "hm-sweep")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sweeps = _run_p0_sweeps(cfg, args.workers)
     rows = [
-        (
-            point.rho_t_db,
-            point.p0,
-            point.se_hm_real_mean,
-            point.se_hm_real_stderr,
-            point.se_hm_ideal_mean,
-            point.se_hm_ideal_stderr,
-            point.gap_mean,
-        )
-        for summary in sweeps
-        for point in summary.points
+        [{**point, **estimate}[field] for _, field in columns]
+        for sweep in sweeps
+        for point in sweep["points"]
+        for estimate in point["outage"]
     ]
-    _write_csv(out_dir / "hm_sweep.csv", _HM_HEADER, rows)
-    _write_json(out_dir / "hm_sweep_summary.json", _summary_payload("hm-sweep", cfg, sweeps))
-    _write_manifest(
-        out_dir, "hm-sweep", cfg, args.workers, ["hm_sweep.csv", "hm_sweep_summary.json"]
-    )
-    print(f"wrote {out_dir / 'hm_sweep.csv'}")
-    return 0
-
-
-def cmd_lm_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sweeps = _run_p0_sweeps(cfg, args.workers)
-    rows = [
-        (
-            point.rho_t_db,
-            point.p0,
-            point.se_hm_at_lm_mean,
-            point.se_hm_at_lm_mean_stderr,
-            point.se_hm_at_lm_min,
-            point.se_hm_at_lm_min_stderr,
-            point.se_lm_mean,
-            point.se_lm_mean_stderr,
-            point.se_lm_min,
-            point.se_lm_min_stderr,
-            point.se_lm_worst_stage,
-            point.se_lm_worst_stage_stderr,
-        )
-        for summary in sweeps
-        for point in summary.points
-    ]
-    _write_csv(out_dir / "lm_sweep.csv", _LM_HEADER, rows)
-    _write_json(out_dir / "lm_sweep_summary.json", _summary_payload("lm-sweep", cfg, sweeps))
-    _write_manifest(
-        out_dir, "lm-sweep", cfg, args.workers, ["lm_sweep.csv", "lm_sweep_summary.json"]
-    )
-    print(f"wrote {out_dir / 'lm_sweep.csv'}")
-    return 0
-
-
-def cmd_outage(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    _require_both_modes(cfg, "outage")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    summary = run_sweep(cfg, workers=args.workers, thresholds=_OUTAGE_THRESHOLDS)
-    print(
-        f"p0={cfg.p0}: {len(cfg.rho_T_grid)} points x {cfg.trials} trials "
-        f"in {time.perf_counter() - started:.1f} s"
-    )
-    rows = [
-        (
-            point.rho_t_db,
-            point.p0,
-            estimate.r_th,
-            estimate.real,
-            estimate.real_stderr,
-            estimate.ideal,
-            estimate.ideal_stderr,
-        )
-        for point in summary.points
-        for estimate in point.outage
-    ]
-    _write_csv(out_dir / "outage.csv", _OUTAGE_HEADER, rows)
-    _write_json(out_dir / "outage_summary.json", _summary_payload("outage", cfg, [summary]))
-    _write_manifest(out_dir, "outage", cfg, args.workers, ["outage.csv", "outage_summary.json"])
-    print(f"wrote {out_dir / 'outage.csv'}")
+    name = args.command.replace("-", "_")
+    outputs = [f"{name}.csv", f"{name}_summary.json"]
+    _write_csv(out_dir / outputs[0], [header for header, _ in columns], rows)
+    summary = {
+        "command": args.command,
+        "version": __version__,
+        "config": cfg.to_dict(),
+        "sweeps": sweeps,
+    }
+    _write_json(out_dir / outputs[1], summary)
+    _write_manifest(out_dir, args.command, cfg, args.workers, outputs)
+    print(f"wrote {out_dir / outputs[0]}")
     return 0
 
 
@@ -310,12 +218,7 @@ def cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-_COMMANDS = {
-    "hm-sweep": cmd_hm_sweep,
-    "lm-sweep": cmd_lm_sweep,
-    "outage": cmd_outage,
-    "validate": cmd_validate,
-}
+_COMMANDS = {**dict.fromkeys(_SWEEPS, cmd_sweep), "validate": cmd_validate}
 
 
 def main(argv=None) -> int:

@@ -119,6 +119,15 @@ class SystemConfig:
                 raise ValidationError(f"{key} must be > 0, got {value!r}")
         if self.nu_max is not None and not float(self.nu_max) >= 0.0:
             raise ValidationError(f"nu_max must be >= 0, got {self.nu_max!r}")
+        # Past this the equalizer's noise gain, about 1/rho^2, underflows to zero.
+        if not math.isfinite(float(self.rho) * float(self.rho)):
+            raise ValidationError(f"rho must have a finite square, got {self.rho!r}")
+        # Doppler taps are drawn as int64 over [-span, span].
+        span = self.nu_max_hz * self.N / self.delta_f
+        if not (math.isfinite(span) and span < 2**63):
+            raise ValidationError(
+                f"Doppler tap span nu_max * N / delta_f must be below 2^63, got {span!r}"
+            )
         if float(self.R_th) < 0.0:
             raise ValidationError(f"R_th must be >= 0, got {self.R_th!r}")
         if len(self.rho_T_grid) == 0:

@@ -10,13 +10,12 @@ trial by trial.
 A trial is one array path from the draws to its record row: the LM
 stages of all U users are evaluated at once on the M delay bins and
 shared by both members.  A sweep maps one task list over every
-(point, chunk) pair, in process or on a pool, and splits the rows back
-per point.
+(point, chunk) pair, in process or on a pool, and reduces the rows of
+all points at once.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,16 +65,29 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
 
 # === single trial ====================================================
 
-# Per-trial record layout used by the sweep accumulator; columns 2..6
-# are the LM summaries in the order noma.assemble_rates returns them.
-_COL_SE_REAL = 0
-_COL_SE_IDEAL = 1
-_COL_HM_AT_LM_MEAN = 2
-_COL_HM_AT_LM_MIN = 3
-_COL_LM_MEAN = 4
-_COL_LM_MIN = 5
-_COL_LM_WORST_STAGE = 6
-_N_COLS = 7
+# The statistics of a sweep point in summary order, as (mean field,
+# stderr field): the HM rate of the Real and the Ideal member, their
+# paired gap (Ideal - Real), then the five LM summaries in the order
+# noma.assemble_rates returns them.  A trial's record row holds every
+# column but the gap, which aggregation derives from the two members.
+STATS = (
+    ("se_hm_real_mean", "se_hm_real_stderr"),
+    ("se_hm_ideal_mean", "se_hm_ideal_stderr"),
+    ("gap_mean", "gap_stderr"),
+    ("se_hm_at_lm_mean", "se_hm_at_lm_mean_stderr"),
+    ("se_hm_at_lm_min", "se_hm_at_lm_min_stderr"),
+    ("se_lm_mean", "se_lm_mean_stderr"),
+    ("se_lm_min", "se_lm_min_stderr"),
+    ("se_lm_worst_stage", "se_lm_worst_stage_stderr"),
+)
+# Fields of an outage estimate: the fraction and its stderr per member.
+OUTAGE_STATS = (("real", "real_stderr"), ("ideal", "ideal_stderr"))
+_N_COLS = len(STATS) - 1
+
+
+def _members(cfg: SystemConfig) -> tuple[bool, bool]:
+    """Whether cfg.mode simulates the Real and the Ideal member."""
+    return cfg.mode != "ideal", cfg.mode != "real"
 
 
 def _hm_rate(cfg: SystemConfig, ch, rho_t: float) -> float:
@@ -88,15 +100,15 @@ def _hm_rate(cfg: SystemConfig, ch, rho_t: float) -> float:
 def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray:
     """Simulate one paired trial at one transmit-SNR point.
 
-    Returns the (_N_COLS,) record row of spectral efficiencies in b/s/Hz:
-    the HM rate of the Real and the Ideal member, the mean and minimum
-    over users of both LM-side stages, and the worst user's limiting
-    rate (the weaker stage per user, or the LM stage alone when
-    cfg.lm_min_includes_hm_stage is False).  A member not requested by
-    cfg.mode is NaN.  Draw order is fixed (HM channel, then LM users
-    1..U) so a seed fully determines the realization.  The LM-side
-    stages carry no fractional Doppler, hence one evaluation serves
-    both members.
+    Returns the record row of spectral efficiencies in b/s/Hz, the
+    columns of STATS without the gap: the HM rate of the Real and the
+    Ideal member, the mean and minimum over users of both LM-side
+    stages, and the worst user's limiting rate (the weaker stage per
+    user, or the LM stage alone when cfg.lm_min_includes_hm_stage is
+    False).  A member not requested by cfg.mode is NaN.  Draw order is
+    fixed (HM channel, then LM users 1..U) so a seed fully determines
+    the realization.  The LM-side stages carry no fractional Doppler,
+    hence one evaluation serves both members.
     """
     rng = np.random.default_rng(trial_seed)
     rho_t = db_to_linear(rho_t_db)
@@ -110,74 +122,17 @@ def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray
     snr_hm_at_lm = hm_at_lm_snr(mmse_spectrum(lam, cfg.rho), lam, cfg.p0, rho_t)
     snr_lm = lm_detection_snr(shares[1:], rho_t, gains)
 
+    real, ideal = _members(cfg)
     row = np.full(_N_COLS, np.nan)
-    if cfg.mode in ("real", "both"):
-        row[_COL_SE_REAL] = _hm_rate(cfg, hm, rho_t)
-    if cfg.mode in ("ideal", "both"):
-        row[_COL_SE_IDEAL] = _hm_rate(cfg, without_fractional_doppler(hm), rho_t)
-    row[_COL_HM_AT_LM_MEAN:] = assemble_rates(snr_hm_at_lm, snr_lm, cfg.lm_min_includes_hm_stage)
+    if real:
+        row[0] = _hm_rate(cfg, hm, rho_t)
+    if ideal:
+        row[1] = _hm_rate(cfg, without_fractional_doppler(hm), rho_t)
+    row[2:] = assemble_rates(snr_hm_at_lm, snr_lm, cfg.lm_min_includes_hm_stage)
     return row
 
 
-# === outage ==========================================================
-
-
-def outage_probability(samples: np.ndarray, r_th: float) -> float:
-    """Fraction of rate samples strictly below the threshold."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("outage requires at least one sample")
-    return float(np.mean(arr < r_th))
-
-
 # === sweeps ==========================================================
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    r_th: float
-    real: float | None
-    real_stderr: float | None
-    ideal: float | None
-    ideal_stderr: float | None
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Aggregates of one (rho_T, p0) sweep point.
-
-    gap_mean/gap_stderr describe the per-trial Ideal - Real difference
-    of the HM rate (present only in mode "both").  The LM statistics are
-    mode-independent because the LM side carries no fractional Doppler.
-    """
-
-    rho_t_db: float
-    p0: float
-    n_trials: int
-    se_hm_real_mean: float | None
-    se_hm_real_stderr: float | None
-    se_hm_ideal_mean: float | None
-    se_hm_ideal_stderr: float | None
-    gap_mean: float | None
-    gap_stderr: float | None
-    se_hm_at_lm_mean: float
-    se_hm_at_lm_mean_stderr: float
-    se_hm_at_lm_min: float
-    se_hm_at_lm_min_stderr: float
-    se_lm_mean: float
-    se_lm_mean_stderr: float
-    se_lm_min: float
-    se_lm_min_stderr: float
-    se_lm_worst_stage: float
-    se_lm_worst_stage_stderr: float
-    outage: tuple[OutageEstimate, ...]
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    config: SystemConfig
-    thresholds: tuple[float, ...]
-    points: tuple[SweepPoint, ...]
 
 
 def _point_rows(task) -> np.ndarray:
@@ -190,73 +145,46 @@ def _point_rows(task) -> np.ndarray:
     return rows
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if values.size > 1:
-        stderr = float(values.std(ddof=1) / np.sqrt(values.size))
-    else:
-        stderr = 0.0
-    return mean, stderr
+def _fields(table, present, values, stderrs) -> dict:
+    """Each row of table as {mean field: value, stderr field: stderr},
+    both None where the statistic is absent."""
+    out = {}
+    for (key, stderr_key), keep, value, stderr in zip(table, present, values, stderrs):
+        out[key], out[stderr_key] = (value, stderr) if keep else (None, None)
+    return out
 
 
-def _outage_estimate(values: np.ndarray | None, r_th: float) -> tuple[float | None, float | None]:
-    if values is None:
-        return None, None
-    frac = outage_probability(values, r_th)
-    stderr = float(np.sqrt(frac * (1.0 - frac) / values.size))
-    return frac, stderr
+def _aggregate(cfg: SystemConfig, rows: np.ndarray, thresholds: tuple) -> list[dict]:
+    """Summary points of the (points, trials, _N_COLS) records, in STATS order.
 
-
-def _aggregate_point(
-    cfg: SystemConfig, rho_t_db: float, rows: np.ndarray, thresholds: tuple[float, ...]
-) -> SweepPoint:
-    real = rows[:, _COL_SE_REAL] if cfg.mode in ("real", "both") else None
-    ideal = rows[:, _COL_SE_IDEAL] if cfg.mode in ("ideal", "both") else None
-
-    real_mean = real_stderr = ideal_mean = ideal_stderr = None
-    gap_mean = gap_stderr = None
-    if real is not None:
-        real_mean, real_stderr = _mean_stderr(real)
-    if ideal is not None:
-        ideal_mean, ideal_stderr = _mean_stderr(ideal)
-    if real is not None and ideal is not None:
-        gap_mean, gap_stderr = _mean_stderr(ideal - real)
-
-    outage = tuple(
-        OutageEstimate(
-            r_th,
-            *_outage_estimate(real, r_th),
-            *_outage_estimate(ideal, r_th),
-        )
-        for r_th in thresholds
-    )
-    hm_at_lm_mean = _mean_stderr(rows[:, _COL_HM_AT_LM_MEAN])
-    hm_at_lm_min = _mean_stderr(rows[:, _COL_HM_AT_LM_MIN])
-    lm_mean = _mean_stderr(rows[:, _COL_LM_MEAN])
-    lm_min = _mean_stderr(rows[:, _COL_LM_MIN])
-    lm_worst = _mean_stderr(rows[:, _COL_LM_WORST_STAGE])
-    return SweepPoint(
-        rho_t_db=float(rho_t_db),
-        p0=float(cfg.p0),
-        n_trials=rows.shape[0],
-        se_hm_real_mean=real_mean,
-        se_hm_real_stderr=real_stderr,
-        se_hm_ideal_mean=ideal_mean,
-        se_hm_ideal_stderr=ideal_stderr,
-        gap_mean=gap_mean,
-        gap_stderr=gap_stderr,
-        se_hm_at_lm_mean=hm_at_lm_mean[0],
-        se_hm_at_lm_mean_stderr=hm_at_lm_mean[1],
-        se_hm_at_lm_min=hm_at_lm_min[0],
-        se_hm_at_lm_min_stderr=hm_at_lm_min[1],
-        se_lm_mean=lm_mean[0],
-        se_lm_mean_stderr=lm_mean[1],
-        se_lm_min=lm_min[0],
-        se_lm_min_stderr=lm_min[1],
-        se_lm_worst_stage=lm_worst[0],
-        se_lm_worst_stage_stderr=lm_worst[1],
-        outage=outage,
-    )
+    Every reduction runs along a contiguous last axis, where numpy sums
+    pairwise exactly as it does for one column alone.
+    """
+    n = rows.shape[1]
+    real, ideal = _members(cfg)
+    present = (real, ideal, real and ideal) + (True,) * (len(STATS) - 3)
+    columns = np.insert(rows, 2, rows[..., 1] - rows[..., 0], axis=2)
+    columns = np.ascontiguousarray(columns.transpose(0, 2, 1))
+    means = columns.mean(axis=-1)
+    stderrs = columns.std(axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(means)
+    # Outage counts only rates strictly below the threshold.
+    below = columns[:, None, :2] < np.asarray(thresholds)[:, None, None]
+    frac = below.mean(axis=-1)
+    frac_stderr = np.sqrt(frac * (1.0 - frac) / n)
+    means, stderrs, frac, frac_stderr = (a.tolist() for a in (means, stderrs, frac, frac_stderr))
+    return [
+        {
+            "rho_t_db": float(rho_t_db),
+            "p0": float(cfg.p0),
+            "n_trials": n,
+            **_fields(STATS, present, means[i], stderrs[i]),
+            "outage": [
+                {"r_th": r_th, **_fields(OUTAGE_STATS, present, frac[i][k], frac_stderr[i][k])}
+                for k, r_th in enumerate(thresholds)
+            ],
+        }
+        for i, rho_t_db in enumerate(cfg.rho_T_grid)
+    ]
 
 
 def _chunk_bounds(n_trials: int, workers: int) -> list[tuple[int, int]]:
@@ -279,15 +207,17 @@ def run_sweep(
     cfg: SystemConfig,
     workers: int = 1,
     thresholds=None,
-) -> SweepSummary:
+) -> dict:
     """Run cfg.trials paired trials at every grid point.
 
-    Outage is evaluated at the given thresholds (default: cfg.R_th
-    only).  The trials of all points form one task list of chunks, run
-    in this process at one worker and otherwise on a pool of
-    min(workers, tasks, CPUs) processes; aggregation always reduces the
-    per-trial records in trial order, so the result is bitwise
-    identical for any worker count.
+    Returns the summary's sweep entry {"p0", "thresholds", "points"}:
+    one plain dict per grid point with the STATS fields (None where
+    cfg.mode lacks a member) and the outage estimates at the given
+    thresholds (default: cfg.R_th only).  The trials of all points form
+    one task list of chunks, run in this process at one worker and
+    otherwise on a pool of min(workers, tasks, CPUs) processes;
+    aggregation always reduces the per-trial records in trial order, so
+    the result is bitwise identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -305,9 +235,9 @@ def run_sweep(
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_point_rows, tasks))
-    n = len(bounds)
-    points = tuple(
-        _aggregate_point(cfg, rho_t_db, np.vstack(chunks[i * n : (i + 1) * n]), thresholds)
-        for i, rho_t_db in enumerate(cfg.rho_T_grid)
-    )
-    return SweepSummary(cfg, thresholds, points)
+    rows = np.vstack(chunks).reshape(len(cfg.rho_T_grid), cfg.trials, _N_COLS)
+    return {
+        "p0": cfg.p0,
+        "thresholds": list(thresholds),
+        "points": _aggregate(cfg, rows, thresholds),
+    }

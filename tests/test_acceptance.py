@@ -80,12 +80,12 @@ def high_snr_sweeps():
 def test_acceptance_1_gap_window_at_half_share(sweep05, capsys):
     """Mean paired improvement inside [0.15, 0.65] b/s/Hz at every point."""
     summary, elapsed = sweep05
-    gaps = np.array([point.gap_mean for point in summary.points])
+    gaps = np.array([point["gap_mean"] for point in summary["points"]])
     low, high = GAP_WINDOW_LOW_SHARE
     bad = [
-        (point.rho_t_db, point.gap_mean)
-        for point in summary.points
-        if not low <= point.gap_mean <= high
+        (point["rho_t_db"], point["gap_mean"])
+        for point in summary["points"]
+        if not low <= point["gap_mean"] <= high
     ]
     in_time = elapsed < 300.0
     passed = not bad and in_time
@@ -105,14 +105,14 @@ def test_acceptance_2_gap_window_at_high_share(sweep05, sweep08, capsys):
     low, high = GAP_WINDOW_HIGH_SHARE
     bad_window = []
     bad_order = []
-    for p05, p08 in zip(summary05.points, sweep08.points):
-        if not low <= p08.gap_mean <= high:
-            bad_window.append((p08.rho_t_db, round(p08.gap_mean, 3)))
-        margin = 2.0 * float(np.hypot(p05.gap_stderr, p08.gap_stderr))
-        if not p08.gap_mean > p05.gap_mean + margin:
-            bad_order.append(p08.rho_t_db)
+    for p05, p08 in zip(summary05["points"], sweep08["points"]):
+        if not low <= p08["gap_mean"] <= high:
+            bad_window.append((p08["rho_t_db"], round(p08["gap_mean"], 3)))
+        margin = 2.0 * float(np.hypot(p05["gap_stderr"], p08["gap_stderr"]))
+        if not p08["gap_mean"] > p05["gap_mean"] + margin:
+            bad_order.append(p08["rho_t_db"])
     passed = not bad_window and not bad_order
-    gaps = np.array([point.gap_mean for point in sweep08.points])
+    gaps = np.array([point["gap_mean"] for point in sweep08["points"]])
     detail = (
         f"gap range [{gaps.min():.3f}, {gaps.max():.3f}] b/s/Hz, "
         f"{len(bad_window)}/11 points outside [{low}, {high}]"
@@ -128,7 +128,7 @@ def test_acceptance_3_gap_flat_across_grid(sweep05, sweep08, capsys):
     summary05, _ = sweep05
     spreads = {}
     for label, summary in (("p0=0.5", summary05), ("p0=0.8", sweep08)):
-        gaps = np.array([point.gap_mean for point in summary.points])
+        gaps = np.array([point["gap_mean"] for point in summary["points"]])
         spreads[label] = float(gaps.max() - gaps.min())
     passed = all(spread <= GAP_SPREAD_LIMIT for spread in spreads.values())
     detail = (
@@ -149,18 +149,18 @@ def test_acceptance_4_static_side_power_sensitivity(high_snr_sweeps, capsys):
     own-signal stage rate for both configurations (the cancellation
     stage works at a lower operating point).
     """
-    half = high_snr_sweeps[0.5].points
-    strong = high_snr_sweeps[0.8].points
-    diffs = np.array([a.se_lm_mean - b.se_lm_mean for a, b in zip(half, strong)])
+    half = high_snr_sweeps[0.5]["points"]
+    strong = high_snr_sweeps[0.8]["points"]
+    diffs = np.array([a["se_lm_mean"] - b["se_lm_mean"] for a, b in zip(half, strong)])
     low, high = LM_DIFF_WINDOW
     window_ok = bool(np.all((diffs >= low) & (diffs <= high)))
     spread = float(diffs.max() - diffs.min())
     spread_ok = spread <= LM_DIFF_SPREAD_LIMIT
     order_bad = [
-        (points[i].p0, points[i].rho_t_db)
+        (points[i]["p0"], points[i]["rho_t_db"])
         for points in (half, strong)
         for i in range(len(points))
-        if not points[i].se_hm_at_lm_mean < points[i].se_lm_mean
+        if not points[i]["se_hm_at_lm_mean"] < points[i]["se_lm_mean"]
     ]
     passed = window_ok and spread_ok and not order_bad
     detail = (
@@ -182,36 +182,37 @@ def test_acceptance_5_outage_trends(sweep05, capsys):
     pointwise monotone test would not describe the actual behavior.
     """
     summary, _ = sweep05
-    points = summary.points
-    idx = {o.r_th: i for i, o in enumerate(points[0].outage)}
+    points = summary["points"]
+    idx = {o["r_th"]: i for i, o in enumerate(points[0]["outage"])}
 
     monotone_bad = []
     for r_th, i in idx.items():
         for member in ("real", "ideal"):
-            values = np.array([getattr(p.outage[i], member) for p in points])
-            errs = np.array([getattr(p.outage[i], f"{member}_stderr") for p in points])
+            values = np.array([p["outage"][i][member] for p in points])
+            errs = np.array([p["outage"][i][f"{member}_stderr"] for p in points])
             for k in range(values.size - 1):
                 margin = 3.0 * float(np.hypot(errs[k], errs[k + 1]))
                 if values[k + 1] > values[k] + margin:
-                    monotone_bad.append((r_th, member, points[k].rho_t_db))
+                    monotone_bad.append((r_th, member, points[k]["rho_t_db"]))
 
     threshold_bad = [
-        p.rho_t_db
+        p["rho_t_db"]
         for p in points
-        if p.outage[idx[0.6]].real < p.outage[idx[0.3]].real
-        or p.outage[idx[0.6]].ideal < p.outage[idx[0.3]].ideal
+        if p["outage"][idx[0.6]]["real"] < p["outage"][idx[0.3]]["real"]
+        or p["outage"][idx[0.6]]["ideal"] < p["outage"][idx[0.3]]["ideal"]
     ]
 
     ordering_bad = [
-        p.rho_t_db for p in points if not p.gap_mean >= 3.0 * p.gap_stderr
+        p["rho_t_db"] for p in points if not p["gap_mean"] >= 3.0 * p["gap_stderr"]
     ]
 
-    gap_first = points[0].outage[idx[0.6]].real - points[0].outage[idx[0.6]].ideal
-    gap_last = points[-1].outage[idx[0.6]].real - points[-1].outage[idx[0.6]].ideal
+    first, last = points[0]["outage"][idx[0.6]], points[-1]["outage"][idx[0.6]]
+    gap_first = first["real"] - first["ideal"]
+    gap_last = last["real"] - last["ideal"]
     growth_err = float(
         np.hypot(
-            np.hypot(points[0].outage[idx[0.6]].real_stderr, points[0].outage[idx[0.6]].ideal_stderr),
-            np.hypot(points[-1].outage[idx[0.6]].real_stderr, points[-1].outage[idx[0.6]].ideal_stderr),
+            np.hypot(first["real_stderr"], first["ideal_stderr"]),
+            np.hypot(last["real_stderr"], last["ideal_stderr"]),
         )
     )
     growth_ok = gap_last > gap_first + 3.0 * growth_err

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from ddlink_sim import cli
+from ddlink_sim.channel import sample_hm_channel
 from ddlink_sim.config import (
     ParseError,
     SystemConfig,
@@ -36,6 +39,41 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+# The CSV headers as README.md documents them.
+HM_HEADER = [
+    "rho_t_db",
+    "p0",
+    "se_hm_real_mean",
+    "se_hm_real_stderr",
+    "se_hm_ideal_mean",
+    "se_hm_ideal_stderr",
+    "gap",
+]
+LM_HEADER = [
+    "rho_t_db",
+    "p0",
+    "se_hm_at_lm_mean",
+    "se_hm_at_lm_mean_stderr",
+    "se_hm_at_lm_min",
+    "se_hm_at_lm_min_stderr",
+    "se_lm_mean",
+    "se_lm_mean_stderr",
+    "se_lm_min",
+    "se_lm_min_stderr",
+    "se_lm_worst_stage",
+    "se_lm_worst_stage_stderr",
+]
+OUTAGE_HEADER = [
+    "rho_t_db",
+    "p0",
+    "r_th",
+    "outage_real",
+    "outage_real_stderr",
+    "outage_ideal",
+    "outage_ideal_stderr",
+]
 
 
 # === config loading ==================================================
@@ -119,6 +157,50 @@ def test_extreme_finite_snr_runs_without_nan(tmp_path):
     assert "nan" not in text
 
 
+def test_huge_rho_exits_2(tmp_path, capsys):
+    # 1/rho^2 underflows in the equalizer's noise term once rho^2
+    # overflows, so such a rho is a config error, not a failed run.
+    path = write_config(tmp_path, {"trials": 3, "rho_T_grid": [0.0, 10.0], "rho": 1e200})
+    code = cli.main(["hm-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_large_finite_rho_runs_without_nan(tmp_path):
+    path = write_config(tmp_path, {"trials": 3, "rho_T_grid": [0.0, 10.0], "rho": 1e150})
+    out = tmp_path / "out"
+    assert cli.main(["hm-sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert "nan" not in (out / "hm_sweep.csv").read_text(encoding="utf-8").lower()
+
+
+@pytest.mark.parametrize(
+    "change", [{"v_max": 1e300}, {"nu_max": 1e30}, {"f_c": 1e300}, {"delta_f": 1e-300}]
+)
+def test_doppler_span_beyond_int64_exits_2(tmp_path, capsys, change):
+    path = write_config(tmp_path, dict(SMALL, **change))
+    code = cli.main(["hm-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_large_doppler_span_runs(tmp_path):
+    path = write_config(tmp_path, dict(SMALL, v_max=1e20))
+    out = tmp_path / "out"
+    assert cli.main(["hm-sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert "nan" not in (out / "hm_sweep.csv").read_text(encoding="utf-8").lower()
+
+
+def test_largest_doppler_span_below_int64_samples():
+    # nu_max * N / delta_f is exact here, so the span is the largest
+    # float below 2^63; 2^63 itself is rejected.
+    span = math.nextafter(2.0**63, 0.0)
+    cfg = SystemConfig(N=16, delta_f=16.0, nu_max=span)
+    taps = sample_hm_channel(cfg, np.random.default_rng(1)).doppler
+    assert np.all(np.abs(taps) <= span)
+    with pytest.raises(ValidationError, match="Doppler"):
+        SystemConfig(N=16, delta_f=16.0, nu_max=2.0**63)
+
+
 def test_zero_workers_exits_2(tmp_path):
     path = write_config(tmp_path, SMALL)
     code = cli.main(
@@ -157,7 +239,7 @@ def test_hm_sweep_csv_contract(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["hm-sweep", "--config", str(config_path), "--out", str(out)]) == 0
     rows = read_csv(out / "hm_sweep.csv")
-    assert rows[0] == list(cli._HM_HEADER)
+    assert rows[0] == HM_HEADER
     # two p0 configurations times two grid points
     assert len(rows) == 1 + 4
     for row in rows[1:]:
@@ -211,7 +293,7 @@ def test_lm_sweep_works_in_real_mode(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["lm-sweep", "--config", str(config_path), "--out", str(out)]) == 0
     rows = read_csv(out / "lm_sweep.csv")
-    assert rows[0] == list(cli._LM_HEADER)
+    assert rows[0] == LM_HEADER
     assert len(rows) == 1 + 4
     for row in rows[1:]:
         values = [float(x) for x in row]
@@ -223,7 +305,7 @@ def test_outage_bounds_and_thresholds(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["outage", "--config", str(config_path), "--out", str(out)]) == 0
     rows = read_csv(out / "outage.csv")
-    assert rows[0] == list(cli._OUTAGE_HEADER)
+    assert rows[0] == OUTAGE_HEADER
     # one p0, two grid points, two thresholds
     assert len(rows) == 1 + 4
     seen_thresholds = set()
@@ -242,10 +324,10 @@ def test_csv_values_round_trip_exactly(tmp_path):
     from ddlink_sim.simkit import run_sweep
 
     cfg = load_config(config_path).replace(p0=0.5)
-    expected = run_sweep(cfg, thresholds=None).points[0]
+    expected = run_sweep(cfg, thresholds=None)["points"][0]
     rows = read_csv(out / "hm_sweep.csv")
-    assert float(rows[1][2]) == expected.se_hm_real_mean
-    assert float(rows[1][6]) == expected.gap_mean
+    assert float(rows[1][2]) == expected["se_hm_real_mean"]
+    assert float(rows[1][6]) == expected["gap_mean"]
 
 
 # === validate plumbing ===============================================

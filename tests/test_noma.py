@@ -6,14 +6,7 @@ import pytest
 
 from ddlink_sim.config import SystemConfig
 from ddlink_sim.noma import ZeroGain, allocate_power, assemble_rates
-from ddlink_sim.simkit import (
-    _COL_HM_AT_LM_MEAN,
-    _COL_HM_AT_LM_MIN,
-    _COL_LM_MEAN,
-    _COL_LM_MIN,
-    _COL_LM_WORST_STAGE,
-    run_trial,
-)
+from ddlink_sim.simkit import run_trial
 
 
 # === power allocation ================================================
@@ -102,11 +95,11 @@ def test_assemble_single_user_takes_weaker_stage():
     cfg = small_config(U=1, p0=0.8)
     weaker = set()
     for seed in range(40):
-        row = run_trial(cfg, 10.0, seed)
-        assert row[_COL_HM_AT_LM_MEAN] == row[_COL_HM_AT_LM_MIN]
-        assert row[_COL_LM_MEAN] == row[_COL_LM_MIN]
-        assert row[_COL_LM_WORST_STAGE] == min(row[_COL_HM_AT_LM_MIN], row[_COL_LM_MIN])
-        weaker.add(bool(row[_COL_HM_AT_LM_MIN] < row[_COL_LM_MIN]))
+        _, _, hm_at_lm_mean, hm_at_lm_min, lm_mean, lm_min, worst = run_trial(cfg, 10.0, seed)
+        assert hm_at_lm_mean == hm_at_lm_min
+        assert lm_mean == lm_min
+        assert worst == min(hm_at_lm_min, lm_min)
+        weaker.add(bool(hm_at_lm_min < lm_min))
     # Both stages are the weaker one in some draw, so each branch is hit.
     assert weaker == {True, False}
 
@@ -116,7 +109,7 @@ def test_assemble_min_bounds_every_stage():
     # its minimum over users is the smaller of the two stage minima.
     for u, seed in ((4, 4), (8, 5)):
         for rho_t_db in (0.0, 10.0, 30.0):
-            row = run_trial(small_config(U=u), rho_t_db, seed)
-            assert row[_COL_LM_WORST_STAGE] <= row[_COL_HM_AT_LM_MIN]
-            assert row[_COL_LM_WORST_STAGE] <= row[_COL_LM_MIN]
-            assert row[_COL_LM_WORST_STAGE] == min(row[_COL_HM_AT_LM_MIN], row[_COL_LM_MIN])
+            _, _, _, hm_at_lm_min, _, lm_min, worst = run_trial(small_config(U=u), rho_t_db, seed)
+            assert worst <= hm_at_lm_min
+            assert worst <= lm_min
+            assert worst == min(hm_at_lm_min, lm_min)

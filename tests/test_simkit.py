@@ -1,25 +1,24 @@
 """Trial seeding, paired trials, outage estimation, and sweep aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ddlink_sim import simkit
 from ddlink_sim.config import SystemConfig, ValidationError
 from ddlink_sim.simkit import (
-    _COL_HM_AT_LM_MEAN,
-    _COL_LM_MIN,
-    _COL_LM_WORST_STAGE,
-    _COL_SE_IDEAL,
-    _COL_SE_REAL,
     _N_COLS,
     _chunk_bounds,
     _point_rows,
     db_to_linear,
     derive_trial_seed,
-    outage_probability,
     run_sweep,
     run_trial,
 )
+
+# Record row columns: simkit.STATS without the gap.
+REAL, IDEAL, HM_AT_LM_MEAN, HM_AT_LM_MIN, LM_MEAN, LM_MIN, LM_WORST_STAGE = range(_N_COLS)
 
 
 def small_config(**changes):
@@ -79,14 +78,14 @@ def test_trial_lm_side_shared_between_members():
     # on which members the trial simulates, bit for bit.
     rows = [run_trial(small_config(mode=mode), 10.0, 999) for mode in ("both", "real", "ideal")]
     for row in rows[1:]:
-        assert np.array_equal(row[_COL_HM_AT_LM_MEAN:], rows[0][_COL_HM_AT_LM_MEAN:])
+        assert np.array_equal(row[HM_AT_LM_MEAN:], rows[0][HM_AT_LM_MEAN:])
 
 
 def test_trial_mode_selects_members():
     real_only = run_trial(small_config(mode="real"), 10.0, 5)
-    assert np.isfinite(real_only[_COL_SE_REAL]) and np.isnan(real_only[_COL_SE_IDEAL])
+    assert np.isfinite(real_only[REAL]) and np.isnan(real_only[IDEAL])
     ideal_only = run_trial(small_config(mode="ideal"), 10.0, 5)
-    assert np.isnan(ideal_only[_COL_SE_REAL]) and np.isfinite(ideal_only[_COL_SE_IDEAL])
+    assert np.isnan(ideal_only[REAL]) and np.isfinite(ideal_only[IDEAL])
     assert np.isfinite(run_trial(small_config(), 10.0, 5)).all()
 
 
@@ -95,7 +94,7 @@ def test_trial_result_requires_a_member():
     # mode is accepted.
     for mode in ("both", "real", "ideal"):
         row = run_trial(small_config(mode=mode), 10.0, 6)
-        assert np.isfinite(row[[_COL_SE_REAL, _COL_SE_IDEAL]]).any()
+        assert np.isfinite(row[[REAL, IDEAL]]).any()
     with pytest.raises(ValidationError, match="mode"):
         small_config(mode="neither")
 
@@ -103,7 +102,7 @@ def test_trial_result_requires_a_member():
 def test_trial_worst_stage_without_hm_stage_is_lm_min():
     for seed in range(5):
         row = run_trial(small_config(lm_min_includes_hm_stage=False), 30.0, seed)
-        assert row[_COL_LM_WORST_STAGE] == row[_COL_LM_MIN]
+        assert row[LM_WORST_STAGE] == row[LM_MIN]
 
 
 def test_ideal_beats_real_on_average():
@@ -111,7 +110,7 @@ def test_ideal_beats_real_on_average():
     diffs = []
     for trial in range(300):
         row = run_trial(cfg, 10.0, derive_trial_seed(7, 0, trial))
-        diffs.append(row[_COL_SE_IDEAL] - row[_COL_SE_REAL])
+        diffs.append(row[IDEAL] - row[REAL])
     diffs = np.asarray(diffs)
     # Removing the Doppler leakage can only help; the mean improvement
     # should clear zero by many standard errors.
@@ -169,80 +168,96 @@ def test_trial_values_preserved(seed, db, real, ideal, hm_at_lm, lm, lm_min):
     assert run_trial(SystemConfig(), db, seed) == pytest.approx(expected, rel=1e-12)
 
 
-# === outage ==========================================================
-
-
-def test_outage_examples():
-    samples = np.array([0.2, 0.4, 0.6, 0.8])
-    assert outage_probability(samples, 0.5) == 0.5
-    assert outage_probability(samples, 0.1) == 0.0
-    assert outage_probability(samples, 0.9) == 1.0
-
-
-def test_outage_threshold_is_strict():
-    assert outage_probability(np.array([0.5]), 0.5) == 0.0
-
-
-def test_outage_empty_rejected():
-    with pytest.raises(ValueError, match="sample"):
-        outage_probability(np.array([]), 0.5)
-
-
-def test_outage_monotone_in_threshold():
-    rng = np.random.default_rng(141)
-    samples = rng.uniform(0.0, 1.0, size=500)
-    assert outage_probability(samples, 0.6) >= outage_probability(samples, 0.3)
-
-
 # === sweeps ==========================================================
 
 
 def test_sweep_shape_and_thresholds():
     cfg = small_config(trials=10)
     summary = run_sweep(cfg)
-    assert summary.thresholds == (cfg.R_th,)
-    assert len(summary.points) == len(cfg.rho_T_grid)
-    for point, db in zip(summary.points, cfg.rho_T_grid):
-        assert point.rho_t_db == db
-        assert point.p0 == cfg.p0
-        assert point.n_trials == 10
-        assert len(point.outage) == 1
-        assert point.outage[0].r_th == cfg.R_th
-        assert 0.0 <= point.outage[0].real <= 1.0
-        assert 0.0 <= point.outage[0].ideal <= 1.0
+    assert summary["p0"] == cfg.p0
+    assert summary["thresholds"] == [cfg.R_th]
+    assert len(summary["points"]) == len(cfg.rho_T_grid)
+    for point, db in zip(summary["points"], cfg.rho_T_grid):
+        assert point["rho_t_db"] == db
+        assert point["p0"] == cfg.p0
+        assert point["n_trials"] == 10
+        assert len(point["outage"]) == 1
+        assert point["outage"][0]["r_th"] == cfg.R_th
+        assert 0.0 <= point["outage"][0]["real"] <= 1.0
+        assert 0.0 <= point["outage"][0]["ideal"] <= 1.0
 
 
 def test_sweep_single_trial_degenerate_stats():
     cfg = small_config(trials=1, rho_T_grid=(10.0,))
-    point = run_sweep(cfg).points[0]
-    assert point.se_hm_real_stderr == 0.0
-    assert point.gap_stderr == 0.0
-    assert point.outage[0].real in (0.0, 1.0)
+    point = run_sweep(cfg)["points"][0]
+    assert point["se_hm_real_stderr"] == 0.0
+    assert point["gap_stderr"] == 0.0
+    assert point["outage"][0]["real"] in (0.0, 1.0)
+
+
+def test_sweep_outage_threshold_is_strict():
+    # At one trial the outage is 0 at exactly the trial's Real rate and
+    # 1 just above it.
+    cfg = small_config(trials=1, rho_T_grid=(10.0,))
+    rate = run_trial(cfg, 10.0, derive_trial_seed(cfg.master_seed, 0, 0))[REAL]
+    point = run_sweep(cfg, thresholds=(rate, math.nextafter(rate, math.inf)))["points"][0]
+    assert [o["real"] for o in point["outage"]] == [0.0, 1.0]
+
+
+def test_sweep_outage_counts_rates_below_threshold():
+    # With a threshold at each sorted rate, exactly the k smaller trials
+    # are in outage at the k-th.
+    cfg = small_config(trials=8, rho_T_grid=(10.0,))
+    rows = _point_rows((cfg, 10.0, 0, 0, 8))
+    for member, column in (("real", REAL), ("ideal", IDEAL)):
+        point = run_sweep(cfg, thresholds=np.sort(rows[:, column]))["points"][0]
+        assert [o[member] for o in point["outage"]] == [k / 8 for k in range(8)]
 
 
 def test_sweep_custom_thresholds():
     cfg = small_config(trials=8, rho_T_grid=(10.0,))
-    point = run_sweep(cfg, thresholds=(0.3, 0.6)).points[0]
-    assert tuple(o.r_th for o in point.outage) == (0.3, 0.6)
-    assert point.outage[1].real >= point.outage[0].real
+    point = run_sweep(cfg, thresholds=(0.3, 0.6))["points"][0]
+    assert [o["r_th"] for o in point["outage"]] == [0.3, 0.6]
+    assert point["outage"][1]["real"] >= point["outage"][0]["real"]
+
+
+def test_outage_monotone_in_threshold():
+    # Raising the threshold never lowers the outage of either member.
+    cfg = small_config(trials=20, rho_T_grid=(10.0,))
+    thresholds = np.linspace(0.0, 1.2, 25)
+    point = run_sweep(cfg, thresholds=thresholds)["points"][0]
+    for member in ("real", "ideal"):
+        fractions = [o[member] for o in point["outage"]]
+        assert fractions == sorted(fractions)
+        assert fractions[0] == 0.0 and fractions[-1] == 1.0
 
 
 def test_sweep_mode_real_drops_ideal_columns():
     cfg = small_config(trials=6, mode="real", rho_T_grid=(10.0,))
-    point = run_sweep(cfg).points[0]
-    assert point.se_hm_real_mean is not None
-    assert point.se_hm_ideal_mean is None
-    assert point.gap_mean is None
-    assert point.outage[0].ideal is None
-    assert point.se_lm_mean > 0.0
+    point = run_sweep(cfg)["points"][0]
+    assert point["se_hm_real_mean"] is not None
+    assert point["se_hm_ideal_mean"] is None
+    assert point["gap_mean"] is None
+    assert point["outage"][0]["ideal"] is None
+    assert point["se_lm_mean"] > 0.0
+
+
+def test_aggregate_keeps_a_real_nan():
+    # Absence follows cfg.mode; a NaN rate stays NaN instead of turning
+    # into an absent (None) statistic.
+    cfg = small_config(trials=3, rho_T_grid=(10.0,))
+    rows = _point_rows((cfg, 10.0, 0, 0, 3))
+    rows[1, REAL] = np.nan
+    point = simkit._aggregate(cfg, rows[None], (0.5,))[0]
+    assert math.isnan(point["se_hm_real_mean"]) and math.isnan(point["gap_mean"])
+    assert point["se_hm_ideal_mean"] == rows[:, IDEAL].mean()
 
 
 def test_sweep_worker_counts_agree_bitwise():
     cfg = small_config(trials=30)
     serial = run_sweep(cfg, workers=1, thresholds=(0.3, 0.6))
     pooled = run_sweep(cfg, workers=3, thresholds=(0.3, 0.6))
-    for a, b in zip(serial.points, pooled.points):
-        assert a == b
+    assert serial == pooled
 
 
 def test_point_rows_independent_of_chunking():
@@ -283,17 +298,24 @@ def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
     assert run_sweep(cfg, workers=500) == serial
     # The affinity mask, not the host's CPU count, bounds the pool.
     monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 5, 9})
-    assert run_sweep(cfg.replace(trials=40), workers=500).points[0].n_trials == 40
+    assert run_sweep(cfg.replace(trials=40), workers=500)["points"][0]["n_trials"] == 40
     # Without an affinity call the host's CPU count does.
     monkeypatch.delattr(simkit.os, "sched_getaffinity")
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: 2)
-    assert run_sweep(cfg.replace(trials=40), workers=500).points[0].n_trials == 40
+    assert run_sweep(cfg.replace(trials=40), workers=500)["points"][0]["n_trials"] == 40
     assert RecordingPool.sizes == [4, 3, 2]
 
 
 def test_sweep_rejects_bad_workers():
     with pytest.raises(ValueError, match="workers"):
         run_sweep(small_config(), workers=0)
+
+
+def test_sweep_without_trials_rejected():
+    # An outage or mean over zero trials is undefined; the config
+    # refuses such a sweep before it starts.
+    with pytest.raises(ValidationError, match="trials"):
+        small_config(trials=0)
 
 
 def test_chunk_bounds_partition():
