@@ -15,9 +15,9 @@ the diagonalization and only the beamformed gain w @ alpha_p is kept.
 All channel matrices are block circulant under the k + N*l vector
 layout, so their eigenvalues can be evaluated directly on the spectral
 grid (`hm_eigen_spectra`, `lm_eigen_spectrum`) without forming the dense
-matrices; the dense builders exist as the independent cross-check.  A
-delay-only spectrum is constant along the Doppler axis, so the LM
-spectra are evaluated on the M delay bins only.
+matrices; the dense builders they are checked against live in
+`validation`.  A delay-only spectrum is constant along the Doppler
+axis, so the LM spectra are evaluated on the M delay bins only.
 """
 
 from dataclasses import dataclass, replace
@@ -218,52 +218,6 @@ def without_fractional_doppler(ch: HMChannelRealization) -> HMChannelRealization
     the original isolates the cost of fractional Doppler.
     """
     return replace(ch, kappa=np.zeros_like(ch.kappa))
-
-
-# === dense matrices ==================================================
-
-
-def _shift_columns(n_doppler: int, n_delay: int, doppler_shift: int, delay_shift: int) -> np.ndarray:
-    """Column index hit by each row for one cyclic delay-Doppler shift."""
-    i = np.arange(n_doppler * n_delay)
-    k = i % n_doppler
-    l = i // n_doppler
-    return (k - doppler_shift) % n_doppler + n_doppler * ((l - delay_shift) % n_delay)
-
-
-def hm_channel_matrices(
-    ch: HMChannelRealization, n_doppler: int, n_delay: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (main, idi, full) channel matrices.
-
-    Each subpath contributes a scaled cyclic shift: Doppler by
-    k_p - q, delay by l_p.  The full matrix is the exact sum of the
-    other two by construction.
-    """
-    nm = n_doppler * n_delay
-    main = np.zeros((nm, nm), dtype=complex)
-    idi = np.zeros((nm, nm), dtype=complex)
-    rows = np.arange(nm)
-    bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
-    for doppler, delay, kappa, base in zip(ch.doppler, ch.delay, ch.kappa, bases):
-        for q in range(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1):
-            coeff = base * subpath_ratio(q, kappa, n_doppler)
-            if coeff == 0:
-                continue
-            cols = _shift_columns(n_doppler, n_delay, doppler - q, delay)
-            target = main if q == 0 else idi
-            target[rows, cols] += coeff
-    return main, idi, main + idi
-
-
-def lm_channel_matrix(lm: LMChannels, user: int, n_doppler: int, n_delay: int) -> np.ndarray:
-    """Dense delay-only channel matrix of LM user `user` (1-based)."""
-    nm = n_doppler * n_delay
-    h = np.zeros((nm, nm), dtype=complex)
-    rows = np.arange(nm)
-    for delay, gain in zip(lm.delay[user - 1], lm.gain[user - 1]):
-        h[rows, _shift_columns(n_doppler, n_delay, 0, delay)] += gain
-    return h
 
 
 # === fast eigen spectra ==============================================

@@ -107,6 +107,9 @@ class SystemConfig:
             value = getattr(self, key)
             if not isinstance(value, int) or value < 0:
                 raise ValidationError(f"{key} must be an integer >= 0, got {value!r}")
+        # Delay taps are drawn as int64 over [0, l_max].
+        if self.l_max + 1 >= 2**63:
+            raise ValidationError(f"l_max + 1 must be below 2^63, got l_max = {self.l_max!r}")
         if self.U > self.M:
             raise ValidationError(f"U <= M violated (U={self.U}, M={self.M})")
         if not 2 * self.N_p < self.N:
@@ -115,8 +118,8 @@ class SystemConfig:
             raise ValidationError(f"p0 must lie in [0, 1], got {self.p0!r}")
         for key in ("delta_f", "f_c", "v_max", "rho"):
             value = float(getattr(self, key))
-            if not value > 0.0:
-                raise ValidationError(f"{key} must be > 0, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(f"{key} must be finite and > 0, got {value!r}")
         if self.nu_max is not None and not float(self.nu_max) >= 0.0:
             raise ValidationError(f"nu_max must be >= 0, got {self.nu_max!r}")
         # Past this the equalizer's noise gain, about 1/rho^2, underflows to zero.
@@ -128,8 +131,8 @@ class SystemConfig:
             raise ValidationError(
                 f"Doppler tap span nu_max * N / delta_f must be below 2^63, got {span!r}"
             )
-        if float(self.R_th) < 0.0:
-            raise ValidationError(f"R_th must be >= 0, got {self.R_th!r}")
+        if not (math.isfinite(float(self.R_th)) and float(self.R_th) >= 0.0):
+            raise ValidationError(f"R_th must be finite and >= 0, got {self.R_th!r}")
         if len(self.rho_T_grid) == 0:
             raise ValidationError("rho_T_grid must contain at least one point")
         if not all(math.isfinite(x) for x in self.rho_T_grid):

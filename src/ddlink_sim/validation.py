@@ -1,4 +1,16 @@
-"""Self-check suite tying the fast spectral path to dense linear algebra.
+"""The dense reference and the self-check suite that ties the fast
+spectral path to it.
+
+The fast path never forms a matrix: the spectra, the MMSE power terms
+and the SINR formulas are closed forms on the spectral grid.  This
+module holds everything that checks them against explicit linear
+algebra, and nothing on the trial path imports it:
+
+  build_basis, diagonalize_bccb   Kronecker DFT basis and dense diagonalizer
+  hm_channel_matrices,            dense channel matrices, one cyclic shift
+  lm_channel_matrix               per subpath or tap
+  empirical_hm_sinr               signal-level oracle: symbols through the
+                                  dense channel and a dense equalizer
 
 Six checks, each reduced to a single observed number against a bound:
 
@@ -18,30 +30,239 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    EigenSpectra,
     HMChannelRealization,
+    LMChannels,
     _doppler_responses,
     _path_sum,
     _subpath_ratios,
-    hm_channel_matrices,
+    _tap_phase,
     hm_eigen_spectra,
+    lm_subchannel_gains,
     sample_hm_channel,
     sample_lm_channel,
     subpath_ratio,
 )
 from .config import SystemConfig, db_to_linear, load_config
-from .equalizer import (
-    detection_power_terms,
-    empirical_hm_sinr,
-    hm_detection_snr,
-    mmse_spectrum,
-    spectral_decomposition_residual,
-)
-from .grids import NotBlockCirculant, build_basis, diagonalize_bccb
+from .equalizer import detection_power_terms, hm_detection_snr, mmse_spectrum
+from .noma import allocate_power
 from .simkit import derive_trial_seed
 
 # Reserved seed-point indices, far above any sweep-grid index, so the
 # validation draws never collide with simulation draws.
 _SEED_BASE = 1 << 20
+
+# Off-diagonal mass above this fraction of the diagonal peak means the
+# matrix is not block circulant under the layout.
+BCCB_RTOL = 1e-9
+
+# Frames the oracle transmits per block: one normal draw and three
+# matrix-matrix products each.  Larger blocks are no faster and raise
+# the peak memory.
+_FRAME_BLOCK = 16
+
+
+class NotBlockCirculant(ValueError):
+    """Raised when a matrix fails the block-circulant diagonalization test."""
+
+
+# === block-circulant diagonalization =================================
+#
+# A frame of symbols on the delay-Doppler grid (N Doppler rows, M delay
+# columns) is stacked column by column, so entry k + N*l holds cell
+# (k, l) and each delay column is one contiguous block.  Under that
+# layout every twisted-convolution channel matrix is block circulant.
+
+
+def _unitary_dft(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+
+
+def build_basis(n_doppler: int, n_delay: int) -> np.ndarray:
+    """Unitary (N*M, N*M) basis that diagonalizes block-circulant matrices.
+
+    The delay-domain DFT factor sits outermost so that column j = k + N*l
+    of the basis sees the N-point Doppler factor inside each length-N
+    delay block, matching the k + N*l layout.  Spectral index
+    i = m_del*N + m_dopp pairs delay frequency m_del with Doppler
+    frequency m_dopp.
+    """
+    return np.kron(_unitary_dft(n_delay), _unitary_dft(n_doppler))
+
+
+def diagonalize_bccb(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Return the eigenvalues of a block-circulant matrix.
+
+    Computes psi @ h @ psi^H for the basis psi from `build_basis` and
+    checks that the off-diagonal residual is below BCCB_RTOL relative
+    to the largest diagonal entry; raises NotBlockCirculant otherwise.
+    The returned eigenvalue order follows the spectral index
+    i = m_del*N + m_dopp.
+    """
+    h = np.asarray(h, dtype=complex)
+    nm = psi.shape[0]
+    if h.shape != (nm, nm):
+        raise ValueError(f"matrix shape {h.shape} does not match basis size {nm}")
+    transformed = psi @ h @ psi.conj().T
+    diag = np.diagonal(transformed).copy()
+    off = transformed - np.diag(diag)
+    residual = float(np.abs(off).max())
+    scale = float(np.abs(diag).max())
+    if residual > BCCB_RTOL * scale:
+        raise NotBlockCirculant(
+            f"off-diagonal residual {residual:.3e} exceeds "
+            f"{BCCB_RTOL:.1e} * diagonal peak {scale:.3e}"
+        )
+    return diag
+
+
+# === dense matrices ==================================================
+
+
+def _shift_columns(n_doppler: int, n_delay: int, doppler_shift: int, delay_shift: int) -> np.ndarray:
+    """Column index hit by each row for one cyclic delay-Doppler shift."""
+    i = np.arange(n_doppler * n_delay)
+    k = i % n_doppler
+    l = i // n_doppler
+    return (k - doppler_shift) % n_doppler + n_doppler * ((l - delay_shift) % n_delay)
+
+
+def hm_channel_matrices(
+    ch: HMChannelRealization, n_doppler: int, n_delay: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (main, idi, full) channel matrices.
+
+    Each subpath contributes a scaled cyclic shift: Doppler by
+    k_p - q, delay by l_p.  The full matrix is the exact sum of the
+    other two by construction.
+    """
+    nm = n_doppler * n_delay
+    main = np.zeros((nm, nm), dtype=complex)
+    idi = np.zeros((nm, nm), dtype=complex)
+    rows = np.arange(nm)
+    bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
+    for doppler, delay, kappa, base in zip(ch.doppler, ch.delay, ch.kappa, bases):
+        for q in range(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1):
+            coeff = base * subpath_ratio(q, kappa, n_doppler)
+            if coeff == 0:
+                continue
+            cols = _shift_columns(n_doppler, n_delay, doppler - q, delay)
+            target = main if q == 0 else idi
+            target[rows, cols] += coeff
+    return main, idi, main + idi
+
+
+def lm_channel_matrix(lm: LMChannels, user: int, n_doppler: int, n_delay: int) -> np.ndarray:
+    """Dense delay-only channel matrix of LM user `user` (1-based)."""
+    nm = n_doppler * n_delay
+    h = np.zeros((nm, nm), dtype=complex)
+    rows = np.arange(nm)
+    for delay, gain in zip(lm.delay[user - 1], lm.gain[user - 1]):
+        h[rows, _shift_columns(n_doppler, n_delay, 0, delay)] += gain
+    return h
+
+
+def spectral_decomposition_residual(
+    delta: np.ndarray, spectra: EigenSpectra, lambda_full: np.ndarray
+) -> float:
+    """Relative error of the equalized full spectrum against its split.
+
+    Compares delta * lambda_full per bin with the sum of the equalized
+    main and leakage images; exact up to rounding when the spectra come
+    from the same realization.
+    """
+    total = delta * lambda_full
+    parts = delta * spectra.lambda_main + delta * spectra.lambda_idi
+    num = float(np.abs(total - parts).max())
+    if num == 0.0:
+        return 0.0
+    den = float(np.abs(total).max())
+    return num / den if den > 0.0 else float("inf")
+
+
+# === signal-level oracle =============================================
+
+
+@dataclass(frozen=True)
+class EmpiricalSinr:
+    value: float
+    stderr: float
+    n_frames: int
+
+
+def empirical_hm_sinr(
+    ch: HMChannelRealization,
+    lm_channels: LMChannels,
+    cfg: SystemConfig,
+    rho_t: float,
+    rng: np.random.Generator,
+    n_symbols: int = 100_000,
+) -> EmpiricalSinr:
+    """Measure the HM detection SINR from transmitted symbols.
+
+    Independent of the spectral fast path: builds the dense channel
+    matrices, solves the regularized normal equations for the equalizer,
+    transmits white unit-power symbol vectors for all U + 1 users with
+    the configured power split, adds noise of variance 1/rho_t, and
+    compares the known equalized signal component against the residual.
+    The frames go through in blocks of `_FRAME_BLOCK`; the estimate is
+    over per-frame powers, with a delta-method standard error.  The
+    closed-form `hm_detection_snr` should agree with the returned value
+    up to the cross terms it neglects plus Monte Carlo noise.
+    """
+    n, m = cfg.N, cfg.M
+    nm = n * m
+    h_main, _, h_full = hm_channel_matrices(ch, n, m)
+
+    gram = h_main.conj().T @ h_main + cfg.rho * np.eye(nm)
+    equalizer = np.linalg.solve(gram, h_main.conj().T)
+    signal_map = equalizer @ h_main
+
+    shares = allocate_power(cfg.p0, lm_subchannel_gains(lm_channels, m))
+    amp = np.sqrt(shares)
+
+    sigma = np.sqrt(1.0 / rho_t)
+    n_frames = max(1, int(np.ceil(n_symbols / nm)))
+    n_users = len(shares)
+    sig_power = np.empty(n_frames)
+    res_power = np.empty(n_frames)
+    root_half = np.sqrt(0.5)
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        n_block = min(_FRAME_BLOCK, n_frames - start)
+        # One row per frame, in the per-frame draw order: every user's
+        # real parts, their imaginary parts, then the noise's real and
+        # imaginary parts.  The normals are sequential, so this is the
+        # same stream as drawing them frame by frame.
+        draws = rng.standard_normal((n_block, 2 * n_users + 2, nm))
+        re, im = draws[:, :n_users], draws[:, n_users : 2 * n_users]
+        superposed = root_half * (amp @ re + 1j * (amp @ im))
+        noise = sigma * root_half * (draws[:, -2] + 1j * draws[:, -1])
+        equalized = equalizer @ (h_full @ superposed.T + noise.T)
+        own = root_half * (re[:, 0] + 1j * im[:, 0])
+        signal = amp[0] * (signal_map @ own.T)
+        residual = equalized - signal
+        sig_power[start : start + n_block] = np.sum(np.abs(signal) ** 2, axis=0)
+        res_power[start : start + n_block] = np.sum(np.abs(residual) ** 2, axis=0)
+
+    s_mean = sig_power.mean()
+    r_mean = res_power.mean()
+    value = float(s_mean / r_mean)
+    if s_mean == 0.0:
+        return EmpiricalSinr(0.0, 0.0, n_frames)
+    if n_frames > 1:
+        # Delta method for the ratio of two correlated means.
+        s_var = sig_power.var(ddof=1) / n_frames
+        r_var = res_power.var(ddof=1) / n_frames
+        covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
+        rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
+        stderr = float(value * np.sqrt(max(rel_var, 0.0)))
+    else:
+        stderr = float("nan")
+    return EmpiricalSinr(value, stderr, n_frames)
+
+
+# === check results ===================================================
 
 
 @dataclass(frozen=True)

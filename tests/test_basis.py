@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddlink_sim.grids import NotBlockCirculant, build_basis, diagonalize_bccb
+from ddlink_sim.validation import NotBlockCirculant, build_basis, diagonalize_bccb
 
 
 def shift_matrix(n, m, doppler_shift, delay_shift):
@@ -23,14 +23,14 @@ def shift_matrix(n, m, doppler_shift, delay_shift):
 
 def test_basis_trivial_size():
     basis = build_basis(1, 1)
-    assert basis.psi.shape == (1, 1)
-    assert abs(basis.psi[0, 0] - 1.0) < 1e-15
+    assert basis.shape == (1, 1)
+    assert abs(basis[0, 0] - 1.0) < 1e-15
 
 
 def test_basis_is_unitary():
     for n, m in ((2, 2), (4, 3), (8, 8), (16, 16)):
         basis = build_basis(n, m)
-        gram = basis.psi @ basis.psi.conj().T
+        gram = basis @ basis.conj().T
         assert np.abs(gram - np.eye(n * m)).max() < 1e-10
 
 

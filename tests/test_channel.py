@@ -8,9 +8,7 @@ from ddlink_sim.channel import (
     LMChannels,
     _subpath_ratios,
     doppler_tap_span,
-    hm_channel_matrices,
     hm_eigen_spectra,
-    lm_channel_matrix,
     lm_eigen_spectrum,
     lm_subchannel_gains,
     sample_hm_channel,
@@ -19,8 +17,13 @@ from ddlink_sim.channel import (
     without_fractional_doppler,
 )
 from ddlink_sim.config import SystemConfig
-from ddlink_sim.grids import build_basis, diagonalize_bccb
-from ddlink_sim.validation import full_spectrum
+from ddlink_sim.validation import (
+    build_basis,
+    diagonalize_bccb,
+    full_spectrum,
+    hm_channel_matrices,
+    lm_channel_matrix,
+)
 
 
 def small_config(**changes):

@@ -201,6 +201,60 @@ def test_largest_doppler_span_below_int64_samples():
         SystemConfig(N=16, delta_f=16.0, nu_max=2.0**63)
 
 
+def test_largest_delay_span_below_int64_samples():
+    # Delay taps are drawn from l_max + 1 int64 values, so
+    # l_max + 1 = 2^63 - 1 is the largest range; 2^63 is rejected.
+    l_max = 2**63 - 2
+    cfg = SystemConfig(l_max=l_max)
+    taps = sample_hm_channel(cfg, np.random.default_rng(1)).delay
+    assert np.all((taps >= 0) & (taps <= l_max))
+    with pytest.raises(ValidationError, match="l_max"):
+        SystemConfig(l_max=2**63 - 1)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        '"R_th": NaN',
+        '"R_th": Infinity',
+        # Infinite values the Doppler tap span alone lets through.
+        '"delta_f": Infinity',
+        '"nu_max": 100, "v_max": Infinity',
+        '"nu_max": 100, "f_c": Infinity',
+    ],
+    ids=["R_th-NaN", "R_th-Infinity", "delta_f-Infinity", "v_max-Infinity", "f_c-Infinity"],
+)
+def test_non_finite_value_exits_2(tmp_path, capsys, field):
+    # Such a value would reach the summary and the manifest as a token
+    # that is not JSON.
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"trials": 2, "rho_T_grid": [0], {field}}}', encoding="utf-8")
+    code = cli.main(["hm-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"N": 8.0},
+        {"p0": True},
+        {"mode": 3},
+        {"rho_T_grid": "0"},
+        {"nu_max": "5"},
+        {"lm_min_includes_hm_stage": 1},
+        [SMALL],
+    ],
+    ids=["int-as-float", "float-as-bool", "mode-as-int", "grid-as-string", "nu-max-as-string",
+         "flag-as-int", "top-level-list"],
+)
+def test_wrongly_typed_value_exits_2(tmp_path, capsys, payload):
+    path = write_config(tmp_path, payload)
+    code = cli.main(["hm-sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_zero_workers_exits_2(tmp_path):
     path = write_config(tmp_path, SMALL)
     code = cli.main(

@@ -6,7 +6,6 @@ import pytest
 from ddlink_sim.channel import (
     EigenSpectra,
     HMChannelRealization,
-    hm_channel_matrices,
     hm_eigen_spectra,
     lm_subchannel_gains,
     sample_hm_channel,
@@ -17,17 +16,20 @@ from ddlink_sim.config import SystemConfig
 from ddlink_sim.equalizer import (
     DegenerateSpectrum,
     DetectionPowerTerms,
-    EmpiricalSinr,
     detection_power_terms,
-    empirical_hm_sinr,
     hm_at_lm_snr,
     hm_detection_snr,
     lm_detection_snr,
     mmse_spectrum,
-    spectral_decomposition_residual,
 )
 from ddlink_sim.noma import allocate_power
-from ddlink_sim.validation import full_spectrum
+from ddlink_sim.validation import (
+    EmpiricalSinr,
+    empirical_hm_sinr,
+    full_spectrum,
+    hm_channel_matrices,
+    spectral_decomposition_residual,
+)
 
 
 def small_config(**changes):
