@@ -109,7 +109,7 @@ class EigenSpectra:
 # === subpath leakage =================================================
 
 
-def _subpath_ratios(qs, kappa, n_doppler: int) -> np.ndarray:
+def subpath_ratios(qs, kappa, n_doppler: int) -> np.ndarray:
     """Leakage ratio of each Doppler offset q, broadcast against kappa.
 
     Ratio of the subpath amplitude at offset q to the full path
@@ -132,11 +132,6 @@ def _subpath_ratios(qs, kappa, n_doppler: int) -> np.ndarray:
     return out
 
 
-def subpath_ratio(q: int, kappa: float, n_doppler: int) -> complex:
-    """Scalar form of the subpath leakage ratio."""
-    return complex(_subpath_ratios(np.array([q]), kappa, n_doppler)[0])
-
-
 def _tap_phase(doppler_tap, kappa, delay_tap, n_doppler: int, n_delay: int):
     # Doppler-delay product phase; the physical scales cancel, leaving
     # only grid units: nu*tau = (k + kappa)*l / (N*M).
@@ -149,11 +144,6 @@ def _tap_phase(doppler_tap, kappa, delay_tap, n_doppler: int, n_delay: int):
 def uniform_weights(n_antennas: int) -> np.ndarray:
     """Unit-power transmit weights, identical on every antenna."""
     return np.full(n_antennas, 1.0 / np.sqrt(n_antennas), dtype=complex)
-
-
-def doppler_tap_span(cfg: SystemConfig) -> int:
-    """Largest integer Doppler tap k_max implied by the configured mobility."""
-    return int(np.floor(cfg.nu_max_hz * cfg.N / cfg.delta_f))
 
 
 def _draw_delay_taps(n_paths: int, l_max: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,13 +169,14 @@ def _beamformed_gains(n_paths: int, n_antennas: int, rng: np.random.Generator) -
 def sample_hm_channel(cfg: SystemConfig, rng: np.random.Generator) -> HMChannelRealization:
     """Draw one HM realization.
 
-    Doppler taps are uniform over [-k_max, k_max], fractional offsets
-    uniform over (-1/2, 1/2], delay taps per `_draw_delay_taps`, and
-    per-antenna gains i.i.d. complex normal with variance 1/L_0 so the
-    average path powers sum to one.  Draw order is fixed: Doppler taps,
+    Doppler taps are uniform over [-k_max, k_max], k_max the floor of
+    the configured Doppler span, fractional offsets uniform over
+    (-1/2, 1/2], delay taps per `_draw_delay_taps`, and per-antenna
+    gains i.i.d. complex normal with variance 1/L_0 so the average path
+    powers sum to one.  Draw order is fixed: Doppler taps,
     offsets, delays, then gains.
     """
-    k_max = doppler_tap_span(cfg)
+    k_max = int(np.floor(cfg.doppler_span))
     doppler = rng.integers(-k_max, k_max + 1, size=cfg.L_0)
     kappa = 0.5 - rng.random(cfg.L_0)  # maps [0, 1) onto (-1/2, 1/2]
     delays = _draw_delay_taps(cfg.L_0, cfg.l_max, rng)
@@ -236,7 +227,7 @@ def _doppler_responses(ch: HMChannelRealization, n_doppler: int) -> tuple[np.nda
     """Doppler-shift eigenvalues (N, L_0, Q) of every subpath and the
     leakage ratios (L_0, Q), subpath offsets q = -N_p..N_p along Q."""
     qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
-    ratios = _subpath_ratios(qs, ch.kappa[:, None], n_doppler)
+    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)
     resp = _dft_phase_table(n_doppler)[:, (ch.doppler[:, None] - qs) % n_doppler]
     return resp, ratios
 

@@ -28,6 +28,51 @@ class ValidationError(ConfigError):
     """The config parsed but violates a field or cross-field constraint."""
 
 
+# One admission rule per field annotation, whatever builds the config:
+# a file, a manifest, `replace` or a direct call.  A rule returns the
+# value to store.
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _grid(name: str, value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
+        raise ValidationError(f"{name} must be a non-empty list of numbers")
+    return tuple(_number(f"{name} entry", x) for x in value)
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a boolean")
+    return value
+
+
+_TYPE_RULES = {
+    int: _integer,
+    float: _number,
+    float | None: lambda name, value: None if value is None else _number(name, value),
+    tuple[float, ...]: _grid,
+    str: _string,
+    bool: _flag,
+}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario and run parameters.
@@ -95,17 +140,19 @@ class SystemConfig:
     lm_min_includes_hm_stage: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_T_grid", tuple(float(x) for x in self.rho_T_grid))
+        for field in dataclasses.fields(self):
+            value = _TYPE_RULES[field.type](field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, value)
         self._validate()
 
     def _validate(self) -> None:
         for key in ("A", "N", "M", "U", "L_0", "trials"):
             value = getattr(self, key)
-            if not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise ValidationError(f"{key} must be an integer >= 1, got {value!r}")
         for key in ("l_max", "N_p"):
             value = getattr(self, key)
-            if not isinstance(value, int) or value < 0:
+            if value < 0:
                 raise ValidationError(f"{key} must be an integer >= 0, got {value!r}")
         # Delay taps are drawn as int64 over [0, l_max].
         if self.l_max + 1 >= 2**63:
@@ -114,27 +161,25 @@ class SystemConfig:
             raise ValidationError(f"U <= M violated (U={self.U}, M={self.M})")
         if not 2 * self.N_p < self.N:
             raise ValidationError(f"N_p < N/2 violated (N_p={self.N_p}, N={self.N})")
-        if not 0.0 <= float(self.p0) <= 1.0:
+        if not 0.0 <= self.p0 <= 1.0:
             raise ValidationError(f"p0 must lie in [0, 1], got {self.p0!r}")
         for key in ("delta_f", "f_c", "v_max", "rho"):
-            value = float(getattr(self, key))
+            value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{key} must be finite and > 0, got {value!r}")
-        if self.nu_max is not None and not float(self.nu_max) >= 0.0:
+        if self.nu_max is not None and not self.nu_max >= 0.0:
             raise ValidationError(f"nu_max must be >= 0, got {self.nu_max!r}")
         # Past this the equalizer's noise gain, about 1/rho^2, underflows to zero.
-        if not math.isfinite(float(self.rho) * float(self.rho)):
+        if not math.isfinite(self.rho * self.rho):
             raise ValidationError(f"rho must have a finite square, got {self.rho!r}")
         # Doppler taps are drawn as int64 over [-span, span].
-        span = self.nu_max_hz * self.N / self.delta_f
+        span = self.doppler_span
         if not (math.isfinite(span) and span < 2**63):
             raise ValidationError(
                 f"Doppler tap span nu_max * N / delta_f must be below 2^63, got {span!r}"
             )
-        if not (math.isfinite(float(self.R_th)) and float(self.R_th) >= 0.0):
+        if not (math.isfinite(self.R_th) and self.R_th >= 0.0):
             raise ValidationError(f"R_th must be finite and >= 0, got {self.R_th!r}")
-        if len(self.rho_T_grid) == 0:
-            raise ValidationError("rho_T_grid must contain at least one point")
         if not all(math.isfinite(x) for x in self.rho_T_grid):
             raise ValidationError("rho_T_grid entries must be finite")
         for db in self.rho_T_grid:
@@ -144,21 +189,19 @@ class SystemConfig:
                 raise ValidationError(
                     f"rho_T_grid entry {db!r} dB overflows as a linear SNR"
                 ) from None
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _UINT64_MAX:
+        if not 0 <= self.master_seed <= _UINT64_MAX:
             raise ValidationError(
                 f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}"
             )
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not isinstance(self.lm_min_includes_hm_stage, bool):
-            raise ValidationError("lm_min_includes_hm_stage must be a boolean")
 
     @property
-    def nu_max_hz(self) -> float:
-        """Maximum Doppler shift in Hz (derived from v_max unless overridden)."""
-        if self.nu_max is not None:
-            return float(self.nu_max)
-        return self.v_max / 3.6 * self.f_c / SPEED_OF_LIGHT
+    def doppler_span(self) -> float:
+        """Doppler tap span nu_max * N / delta_f, in Doppler bins; nu_max
+        is derived from v_max and f_c unless given."""
+        nu_max = self.v_max / 3.6 * self.f_c / SPEED_OF_LIGHT if self.nu_max is None else self.nu_max
+        return nu_max * self.N / self.delta_f
 
     def replace(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields changed (revalidated)."""
@@ -171,28 +214,6 @@ class SystemConfig:
         return out
 
 
-_INT_KEYS = ("A", "N", "M", "U", "L_0", "l_max", "N_p", "trials", "master_seed")
-_FLOAT_KEYS = ("delta_f", "f_c", "v_max", "rho", "p0", "R_th")
-_KNOWN_KEYS = set(_INT_KEYS) | set(_FLOAT_KEYS) | {
-    "nu_max",
-    "rho_T_grid",
-    "mode",
-    "lm_min_includes_hm_stage",
-}
-
-
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build a config from a plain dict, rejecting unknown keys.
 
@@ -201,30 +222,10 @@ def config_from_dict(raw: dict) -> SystemConfig:
     """
     if not isinstance(raw, dict):
         raise ParseError(f"config document must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(set(raw) - {field.name for field in dataclasses.fields(SystemConfig)})
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            kwargs[key] = _as_int(key, value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = _as_float(key, value)
-        elif key == "nu_max":
-            kwargs[key] = None if value is None else _as_float(key, value)
-        elif key == "rho_T_grid":
-            if not isinstance(value, (list, tuple)) or len(value) == 0:
-                raise ValidationError("rho_T_grid must be a non-empty list of numbers")
-            kwargs[key] = tuple(_as_float("rho_T_grid entry", x) for x in value)
-        elif key == "mode":
-            if not isinstance(value, str):
-                raise ValidationError(f"mode must be a string, got {value!r}")
-            kwargs[key] = value
-        elif key == "lm_min_includes_hm_stage":
-            if not isinstance(value, bool):
-                raise ValidationError("lm_min_includes_hm_stage must be a boolean")
-            kwargs[key] = value
-    return SystemConfig(**kwargs)
+    return SystemConfig(**raw)
 
 
 def load_config(path: str | Path | None = None) -> SystemConfig:

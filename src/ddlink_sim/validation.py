@@ -35,13 +35,12 @@ from .channel import (
     LMChannels,
     _doppler_responses,
     _path_sum,
-    _subpath_ratios,
     _tap_phase,
     hm_eigen_spectra,
     lm_subchannel_gains,
     sample_hm_channel,
     sample_lm_channel,
-    subpath_ratio,
+    subpath_ratios,
 )
 from .config import SystemConfig, db_to_linear, load_config
 from .equalizer import detection_power_terms, hm_detection_snr, mmse_spectrum
@@ -60,6 +59,14 @@ BCCB_RTOL = 1e-9
 # matrix-matrix products each.  Larger blocks are no faster and raise
 # the peak memory.
 _FRAME_BLOCK = 16
+
+# Check sizes: realizations per check, kappa offsets per grid size in
+# ratio-identities, and symbols per realization in empirical-sinr.
+_DENSE_REALIZATIONS = 50
+_SPLIT_REALIZATIONS = 50
+_RATIO_OFFSETS = 100
+_SINR_REALIZATIONS = 20
+_SINR_SYMBOLS = 100_000
 
 
 class NotBlockCirculant(ValueError):
@@ -142,9 +149,11 @@ def hm_channel_matrices(
     idi = np.zeros((nm, nm), dtype=complex)
     rows = np.arange(nm)
     bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
-    for doppler, delay, kappa, base in zip(ch.doppler, ch.delay, ch.kappa, bases):
-        for q in range(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1):
-            coeff = base * subpath_ratio(q, kappa, n_doppler)
+    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)  # (L_0, Q)
+    for doppler, delay, base, path_ratios in zip(ch.doppler, ch.delay, bases, ratios):
+        for q, ratio in zip(qs, path_ratios):
+            coeff = base * ratio
             if coeff == 0:
                 continue
             cols = _shift_columns(n_doppler, n_delay, doppler - q, delay)
@@ -197,7 +206,7 @@ def empirical_hm_sinr(
     cfg: SystemConfig,
     rho_t: float,
     rng: np.random.Generator,
-    n_symbols: int = 100_000,
+    n_symbols: int = _SINR_SYMBOLS,
 ) -> EmpiricalSinr:
     """Measure the HM detection SINR from transmitted symbols.
 
@@ -320,12 +329,12 @@ def full_spectrum(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> np.
     return _path_sum(ch, np.einsum("nlq,lq->nl", resp, ratios), n_delay)
 
 
-def check_dense_vs_fast(cfg: SystemConfig, n_realizations: int = 50) -> CheckResult:
+def check_dense_vs_fast(cfg: SystemConfig) -> CheckResult:
     """Fast spectral path against dense construction plus diagonalization."""
     sizes = (4, 8, 16)
     bases = {n: build_basis(n, n) for n in sizes}
     worst = 0.0
-    for r in range(n_realizations):
+    for r in range(_DENSE_REALIZATIONS):
         n = sizes[r % len(sizes)]
         sub = _sized_config(cfg, n)
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 0, r))
@@ -339,53 +348,51 @@ def check_dense_vs_fast(cfg: SystemConfig, n_realizations: int = 50) -> CheckRes
                 return CheckResult("dense-vs-fast", False, float("inf"), 1e-9, "<=", str(exc))
             scale = max(np.abs(fast).max(), np.abs(lam).max(), 1e-30)
             worst = max(worst, np.abs(lam - fast).max() / scale)
-    detail = f"max relative deviation over {n_realizations} realizations, sizes {sizes}"
+    detail = f"max relative deviation over {_DENSE_REALIZATIONS} realizations, sizes {sizes}"
     return _result("dense-vs-fast", worst, 1e-9, "<=", detail)
 
 
-def check_spectral_split(cfg: SystemConfig, n_realizations: int = 50) -> CheckResult:
+def check_spectral_split(cfg: SystemConfig) -> CheckResult:
     """Equalized full spectrum against the desired + leakage split."""
     worst = 0.0
-    for r in range(n_realizations):
+    for r in range(_SPLIT_REALIZATIONS):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 1, r))
         ch = sample_hm_channel(cfg, rng)
         spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
         delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
         lambda_full = full_spectrum(ch, cfg.N, cfg.M)
         worst = max(worst, spectral_decomposition_residual(delta, spectra, lambda_full))
-    detail = f"max relative residual over {n_realizations} realizations"
+    detail = f"max relative residual over {_SPLIT_REALIZATIONS} realizations"
     return _result("spectral-split", worst, 1e-12, "<=", detail)
 
 
-def check_ratio_identities(cfg: SystemConfig, n_offsets: int = 100) -> CheckResult:
+def check_ratio_identities(cfg: SystemConfig) -> CheckResult:
     """Sum and energy of the subpath ratios over one full period."""
     worst = 0.0
     for size_index, n in enumerate((8, 16, 32)):
         rng = np.random.default_rng(
             derive_trial_seed(cfg.master_seed, _SEED_BASE + 2, size_index)
         )
-        kappas = 0.5 - rng.random(n_offsets)
-        ratios = _subpath_ratios(np.arange(n), kappas[:, None], n)  # (offsets, n)
+        kappas = 0.5 - rng.random(_RATIO_OFFSETS)
+        ratios = subpath_ratios(np.arange(n), kappas[:, None], n)  # (offsets, n)
         worst = max(worst, float(np.abs(ratios.sum(axis=1) - 1.0).max()))
         worst = max(worst, float(np.abs((np.abs(ratios) ** 2).sum(axis=1) - 1.0).max()))
-    detail = f"max identity error, {n_offsets} offsets per grid size in (8, 16, 32)"
+    detail = f"max identity error, {_RATIO_OFFSETS} offsets per grid size in (8, 16, 32)"
     return _result("ratio-identities", worst, 1e-12, "<=", detail)
 
 
 def check_truncation_energy() -> CheckResult:
     """Energy kept by the q in [-5, 5] window at the worst offset 0.5."""
-    energy = sum(abs(subpath_ratio(q, 0.5, 16)) ** 2 for q in range(-5, 6))
+    energy = sum(abs(complex(r)) ** 2 for r in subpath_ratios(np.arange(-5, 6), 0.5, 16))
     return _result("truncation", energy, 0.95, ">=", "window |q| <= 5, kappa 0.5, N 16")
 
 
-def check_empirical_sinr(
-    cfg: SystemConfig, n_realizations: int = 20, n_symbols: int = 100_000
-) -> CheckResult:
+def check_empirical_sinr(cfg: SystemConfig) -> CheckResult:
     """Closed-form detection SNR against the signal-level measurement."""
     sub = cfg.replace(p0=0.5)
     rho_t = db_to_linear(10.0)
     worst = 0.0
-    for r in range(n_realizations):
+    for r in range(_SINR_REALIZATIONS):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 3, r))
         hm = sample_hm_channel(sub, rng)
         lm_channels = sample_lm_channel(sub, rng)
@@ -393,11 +400,11 @@ def check_empirical_sinr(
         delta = mmse_spectrum(spectra.lambda_main, sub.rho)
         terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
         analytic = hm_detection_snr(terms, sub.p0, rho_t)
-        measured = empirical_hm_sinr(hm, lm_channels, sub, rho_t, rng, n_symbols=n_symbols)
+        measured = empirical_hm_sinr(hm, lm_channels, sub, rho_t, rng)
         worst = max(worst, abs(measured.value - analytic) / analytic)
     detail = (
-        f"max relative gap over {n_realizations} realizations, "
-        f"{n_symbols} symbols each, 10 dB, p0 0.5"
+        f"max relative gap over {_SINR_REALIZATIONS} realizations, "
+        f"{_SINR_SYMBOLS} symbols each, 10 dB, p0 0.5"
     )
     return _result("empirical-sinr", worst, 0.05, "<=", detail)
 

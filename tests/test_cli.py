@@ -133,6 +133,39 @@ def test_config_from_dict_round_trips():
     assert cfg == again
 
 
+# One wrongly typed field each, rejected the same way from a file and
+# from Python.
+WRONGLY_TYPED = {
+    "int-as-float": {"N": 8.0},
+    "float-as-bool": {"p0": True},
+    "mode-as-int": {"mode": 3},
+    "grid-as-string": {"rho_T_grid": "0"},
+    "nu-max-as-string": {"nu_max": "5"},
+    "flag-as-int": {"lm_min_includes_hm_stage": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [*WRONGLY_TYPED.values(), {"U": True}, {"master_seed": True}, {"rho": "1"}],
+    ids=[*WRONGLY_TYPED, "int-as-bool", "seed-as-bool", "rho-as-string"],
+)
+def test_wrongly_typed_value_rejected_by_constructor_and_replace(payload):
+    with pytest.raises(ValidationError):
+        SystemConfig(**payload)
+    with pytest.raises(ValidationError):
+        SystemConfig().replace(**payload)
+
+
+def test_int_values_for_float_fields_are_stored_as_floats(tmp_path):
+    cfg = SystemConfig(p0=1, R_th=0, rho_T_grid=(0, 10))
+    path = cli._write_manifest(tmp_path, "hm-sweep", cfg, 1, [])
+    written = json.loads(path.read_text(encoding="utf-8"))["config"]
+    for value in (written["p0"], written["R_th"], *written["rho_T_grid"]):
+        assert type(value) is float
+    assert load_config(path) == cfg
+
+
 # === exit codes ======================================================
 
 
@@ -235,18 +268,7 @@ def test_non_finite_value_exits_2(tmp_path, capsys, field):
 
 
 @pytest.mark.parametrize(
-    "payload",
-    [
-        {"N": 8.0},
-        {"p0": True},
-        {"mode": 3},
-        {"rho_T_grid": "0"},
-        {"nu_max": "5"},
-        {"lm_min_includes_hm_stage": 1},
-        [SMALL],
-    ],
-    ids=["int-as-float", "float-as-bool", "mode-as-int", "grid-as-string", "nu-max-as-string",
-         "flag-as-int", "top-level-list"],
+    "payload", [*WRONGLY_TYPED.values(), [SMALL]], ids=[*WRONGLY_TYPED, "top-level-list"]
 )
 def test_wrongly_typed_value_exits_2(tmp_path, capsys, payload):
     path = write_config(tmp_path, payload)

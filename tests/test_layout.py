@@ -1,17 +1,22 @@
-"""Module layout: the trial path does not depend on the dense reference.
+"""Module layout: the trial path does not depend on the dense reference,
+and README.md documents the config schema field for field.
 
 The package's source files are parsed, not imported or run, so a
 function-local import counts as much as a module-level one.
 """
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 import ddlink_sim
+from ddlink_sim.config import SystemConfig
 
 PACKAGE_DIR = Path(ddlink_sim.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 FAST_PATH = ("channel", "equalizer", "noma", "simkit")
 
 
@@ -60,3 +65,10 @@ def test_fast_path_does_not_import_validation(module):
 
 def test_dense_reference_has_no_module_of_its_own():
     assert not (PACKAGE_DIR / "grids.py").exists()
+
+
+def test_readme_config_table_lists_every_field_in_order():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert documented == [field.name for field in dataclasses.fields(SystemConfig)]
