@@ -117,19 +117,23 @@ def subpath_ratios(qs, kappa, n_doppler: int) -> np.ndarray:
     the analytic limit 1; other integer offsets are exactly 0, which
     keeps the zero-offset (kappa = 0) case free of rounding dust.
     """
-    qs, kappa = np.broadcast_arrays(qs, kappa)
+    qs, kappa = np.asarray(qs), np.asarray(kappa)
     t = qs + kappa
-    out = np.empty(t.shape, dtype=complex)
     exact = t == np.floor(t)
-    if np.any(exact):
-        out[exact] = np.where(np.mod(t[exact].astype(np.int64), n_doppler) == 0, 1.0, 0.0)
-    rest = ~exact
-    if np.any(rest):
-        theta = -qs[rest] - kappa[rest]
-        num = np.exp(-2j * np.pi * theta) - 1.0
-        den = n_doppler * np.exp(-1j * (2.0 * np.pi / n_doppler) * theta) - n_doppler
-        out[rest] = num / den
-    return out
+    # A Real member has no exact offset and an Ideal one (kappa = 0)
+    # only exact ones; neither needs the masked scatter.
+    if exact.all():
+        return np.where(np.mod(t.astype(np.int64), n_doppler) == 0, 1.0, 0.0).astype(complex)
+    if exact.any():
+        qs, kappa = np.broadcast_arrays(qs, kappa)
+        out = np.empty(t.shape, dtype=complex)
+        for part in (exact, ~exact):
+            out[part] = subpath_ratios(qs[part], kappa[part], n_doppler)
+        return out
+    theta = -qs - kappa
+    num = np.exp(-2j * np.pi * theta) - 1.0
+    den = n_doppler * np.exp(-1j * (2.0 * np.pi / n_doppler) * theta) - n_doppler
+    return np.asarray(num / den)
 
 
 def _tap_phase(doppler_tap, kappa, delay_tap, n_doppler: int, n_delay: int):
@@ -141,9 +145,12 @@ def _tap_phase(doppler_tap, kappa, delay_tap, n_doppler: int, n_delay: int):
 # === sampling ========================================================
 
 
+@lru_cache(maxsize=8)
 def uniform_weights(n_antennas: int) -> np.ndarray:
-    """Unit-power transmit weights, identical on every antenna."""
-    return np.full(n_antennas, 1.0 / np.sqrt(n_antennas), dtype=complex)
+    """Unit-power transmit weights, identical on every antenna; read-only."""
+    weights = np.full(n_antennas, 1.0 / np.sqrt(n_antennas), dtype=complex)
+    weights.setflags(write=False)
+    return weights
 
 
 def _draw_delay_taps(n_paths: int, l_max: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,10 +166,11 @@ def _draw_delay_taps(n_paths: int, l_max: int, rng: np.random.Generator) -> np.n
 def _beamformed_gains(n_paths: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
     """Per-antenna gains, i.i.d. complex normal with variance 1/n_paths,
     combined at once with the uniform transmit weights."""
-    scale = np.sqrt(0.5 / n_paths)
-    gains = scale * (
-        rng.standard_normal((n_paths, n_antennas)) + 1j * rng.standard_normal((n_paths, n_antennas))
-    )
+    # One draw of both parts: normals come off the stream in order, so
+    # the real parts are the first n_paths*n_antennas of them.
+    scaled = np.sqrt(0.5 / n_paths) * rng.standard_normal((2, n_paths, n_antennas))
+    gains = np.empty((n_paths, n_antennas), dtype=complex)
+    gains.real, gains.imag = scaled
     return gains @ uniform_weights(n_antennas)
 
 
@@ -233,17 +241,19 @@ def _doppler_responses(ch: HMChannelRealization, n_doppler: int) -> tuple[np.nda
 
 
 def _path_sum(ch: HMChannelRealization, dopp: np.ndarray, n_delay: int) -> np.ndarray:
-    """Spectrum of the paths given their Doppler responses dopp (N, L_0).
+    """Spectra of the paths given stacks of their Doppler responses
+    dopp (..., N, L_0), shape (..., N*M).
 
     A cyclic shift by (dk, dl) has eigenvalue
     exp(-2j*pi*(m_del*dl/M + m_dopp*dk/N)) at spectral index
     i = m_del*N + m_dopp, so the spectrum is a small sum of phase-table
     rows weighted by the path gains.
     """
-    n_doppler = dopp.shape[0]
+    n_doppler = dopp.shape[-2]
     weight = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
     delay_resp = _dft_phase_table(n_delay)[:, ch.delay % n_delay]  # (M, L_0)
-    return ((delay_resp * weight) @ dopp.T).reshape(n_delay * n_doppler)
+    spectra = (delay_resp * weight) @ dopp.swapaxes(-1, -2)  # (..., M, N)
+    return spectra.reshape(*dopp.shape[:-2], n_delay * n_doppler)
 
 
 def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> EigenSpectra:
@@ -255,7 +265,8 @@ def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> 
     leak[:, q0] = 0.0
     main = resp[:, :, q0] * ratios[:, q0]
     idi = np.einsum("nlq,lq->nl", resp, leak)
-    return EigenSpectra(_path_sum(ch, main, n_delay), _path_sum(ch, idi, n_delay))
+    # One product for both images: their path weights are the same.
+    return EigenSpectra(*_path_sum(ch, np.stack((main, idi)), n_delay))
 
 
 def lm_eigen_spectrum(lm: LMChannels, n_delay: int) -> np.ndarray:

@@ -205,6 +205,7 @@ class SystemConfig:
 
     def replace(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields changed (revalidated)."""
+        _reject_unknown_keys(changes)
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
@@ -222,10 +223,14 @@ def config_from_dict(raw: dict) -> SystemConfig:
     """
     if not isinstance(raw, dict):
         raise ParseError(f"config document must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - {field.name for field in dataclasses.fields(SystemConfig)})
+    _reject_unknown_keys(raw)
+    return SystemConfig(**raw)
+
+
+def _reject_unknown_keys(keys) -> None:
+    unknown = sorted(set(keys) - {field.name for field in dataclasses.fields(SystemConfig)})
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    return SystemConfig(**raw)
 
 
 def load_config(path: str | Path | None = None) -> SystemConfig:

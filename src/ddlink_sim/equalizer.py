@@ -50,10 +50,15 @@ def detection_power_terms(
     delta: np.ndarray, lambda_main: np.ndarray, lambda_idi: np.ndarray
 ) -> DetectionPowerTerms:
     """Average the equalized channel energies over the spectral grid."""
-    desired = float(np.mean(np.abs(delta * lambda_main) ** 2))
-    leakage = float(np.mean(np.abs(delta * lambda_idi) ** 2))
-    noise = float(np.mean(np.abs(delta) ** 2))
+    desired = float(_mean(np.abs(delta * lambda_main) ** 2))
+    leakage = float(_mean(np.abs(delta * lambda_idi) ** 2))
+    noise = float(_mean(np.abs(delta) ** 2))
     return DetectionPowerTerms(desired, leakage, noise)
+
+
+def _mean(x: np.ndarray):
+    # What np.mean computes over the last axis, without its wrapper.
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
 def hm_detection_snr(terms: DetectionPowerTerms, p0: float, rho_t: float) -> float:
@@ -79,8 +84,8 @@ def hm_at_lm_snr(delta: np.ndarray, eigenvalues: np.ndarray, p0: float, rho_t: f
     interference.
     """
     noise_gain = np.abs(delta) ** 2
-    forward = np.mean(noise_gain * np.abs(eigenvalues) ** 2, axis=-1)
-    noise = np.mean(noise_gain, axis=-1)
+    forward = _mean(noise_gain * np.abs(eigenvalues) ** 2)
+    noise = _mean(noise_gain)
     if np.any(noise == 0.0):
         raise DegenerateSpectrum("all equalizer coefficients are zero")
     return p0 * rho_t * forward / ((1.0 - p0) * rho_t * forward + noise)

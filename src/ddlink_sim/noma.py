@@ -43,7 +43,7 @@ def assemble_rates(hm_at_lm: np.ndarray, lm: np.ndarray, include_hm_stage: bool 
     user the weaker of the two stages (or the LM stage alone when
     include_hm_stage is False), then the minimum across users.
     """
-    se_hm_at_lm = np.log2(1.0 + np.asarray(hm_at_lm, dtype=float))
-    se_lm = np.log2(1.0 + np.asarray(lm, dtype=float))
-    per_user = np.minimum(se_hm_at_lm, se_lm) if include_hm_stage else se_lm
-    return np.array([se_hm_at_lm.mean(), se_hm_at_lm.min(), se_lm.mean(), se_lm.min(), per_user.min()])
+    se = np.log2(1.0 + np.array((hm_at_lm, lm), dtype=float))  # (stage, user)
+    means, mins = np.add.reduce(se, axis=-1) / se.shape[-1], se.min(axis=-1)
+    per_user = se.min(axis=0) if include_hm_stage else se[1]
+    return np.array([means[0], mins[0], means[1], mins[1], per_user.min()])

@@ -15,7 +15,6 @@ all points at once.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -233,6 +232,9 @@ def run_sweep(
     if processes == 1:
         chunks = list(map(_point_rows, tasks))
     else:
+        # Imported here, so that an in-process run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_point_rows, tasks))
     rows = np.vstack(chunks).reshape(len(cfg.rho_T_grid), cfg.trials, _N_COLS)

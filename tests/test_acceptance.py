@@ -24,6 +24,9 @@ from ddlink_sim.config import SystemConfig
 from ddlink_sim.simkit import run_sweep
 from ddlink_sim.validation import run_validation
 
+# Production-size runs: `pytest -m "not slow"` leaves them out.
+pytestmark = pytest.mark.slow
+
 GAP_WINDOW_LOW_SHARE = (0.15, 0.65)
 GAP_WINDOW_HIGH_SHARE = (0.6, 1.4)
 GAP_SPREAD_LIMIT = 0.3

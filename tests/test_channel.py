@@ -6,12 +6,17 @@ import pytest
 from ddlink_sim.channel import (
     HMChannelRealization,
     LMChannels,
+    _beamformed_gains,
+    _dft_phase_table,
+    _doppler_responses,
+    _tap_phase,
     hm_eigen_spectra,
     lm_eigen_spectrum,
     lm_subchannel_gains,
     sample_hm_channel,
     sample_lm_channel,
     subpath_ratios,
+    uniform_weights,
     without_fractional_doppler,
 )
 from ddlink_sim.config import SystemConfig
@@ -293,3 +298,96 @@ def test_lm_gain_periodic_in_subcarrier():
     row = 2
     gains = lm_subchannel_gains(same_channel_users(2 * cfg.M, lm.delay[row], lm.gain[row]), cfg.M)
     assert np.abs(gains[: cfg.M] - gains[cfg.M :]).max() < 1e-12
+
+
+# === kernels against the forms they replaced =========================
+# Each kernel on the trial path was rewritten for speed with its
+# outputs unchanged bit for bit; the earlier forms are kept here as the
+# references.
+
+
+def masked_ratios(qs, kappa, n_doppler):
+    """`subpath_ratios` as a broadcast and a masked scatter."""
+    qs, kappa = np.broadcast_arrays(qs, kappa)
+    t = qs + kappa
+    out = np.empty(t.shape, dtype=complex)
+    exact = t == np.floor(t)
+    if np.any(exact):
+        out[exact] = np.where(np.mod(t[exact].astype(np.int64), n_doppler) == 0, 1.0, 0.0)
+    rest = ~exact
+    if np.any(rest):
+        theta = -qs[rest] - kappa[rest]
+        num = np.exp(-2j * np.pi * theta) - 1.0
+        den = n_doppler * np.exp(-1j * (2.0 * np.pi / n_doppler) * theta) - n_doppler
+        out[rest] = num / den
+    return out
+
+
+def per_image_spectra(ch, n_doppler, n_delay):
+    """`hm_eigen_spectra` with one path-sum product per image."""
+
+    def path_sum(dopp):
+        weight = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
+        delay_resp = _dft_phase_table(n_delay)[:, ch.delay % n_delay]
+        return ((delay_resp * weight) @ dopp.T).reshape(n_delay * n_doppler)
+
+    resp, ratios = _doppler_responses(ch, n_doppler)
+    q0 = ch.subpath_halfwidth
+    leak = ratios.copy()
+    leak[:, q0] = 0.0
+    main = resp[:, :, q0] * ratios[:, q0]
+    idi = np.einsum("nlq,lq->nl", resp, leak)
+    return path_sum(main), path_sum(idi)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+def test_spectra_equal_per_image_products_bitwise(n):
+    cfg = SystemConfig(N=n, M=n, N_p=min(5, (n - 1) // 2), l_max=min(4, n - 1), U=min(8, n))
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        real = sample_hm_channel(cfg, rng)
+        for ch in (real, without_fractional_doppler(real)):
+            got = hm_eigen_spectra(ch, n, n)
+            main, idi = per_image_spectra(ch, n, n)
+            assert np.array_equal(got.lambda_main, main)
+            assert np.array_equal(got.lambda_idi, idi)
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [0.5 - np.random.default_rng(310).random(6), np.zeros(6), np.array([0.0, 0.5, 0.3])],
+    ids=["none-exact", "all-exact", "mixed"],
+)
+def test_ratios_equal_masked_form_bitwise(kappa):
+    for n in (8, 16):
+        qs = np.arange(-n, 2 * n)
+        got = subpath_ratios(qs, kappa[:, None], n)
+        assert got.dtype == complex
+        assert np.array_equal(got, masked_ratios(qs, kappa[:, None], n))
+
+
+@pytest.mark.parametrize("q, kappa", [(3, 0.3), (0, 0.0), (2, 0.0), (16, 0.0)])
+def test_ratio_of_scalars_is_zero_dimensional(q, kappa):
+    got = subpath_ratios(q, kappa, 16)
+    assert got.shape == () and got.dtype == complex
+    assert np.array_equal(got, masked_ratios(q, kappa, 16))
+
+
+@pytest.mark.parametrize("n_paths, n_antennas", [(1, 1), (3, 4), (10, 4)])
+def test_gains_equal_two_draw_form_bitwise(n_paths, n_antennas):
+    rng, rng_ref = np.random.default_rng(320), np.random.default_rng(320)
+    for _ in range(10):
+        got = _beamformed_gains(n_paths, n_antennas, rng)
+        scale = np.sqrt(0.5 / n_paths)
+        shape = (n_paths, n_antennas)
+        per_antenna = scale * (rng_ref.standard_normal(shape) + 1j * rng_ref.standard_normal(shape))
+        assert np.array_equal(got, per_antenna @ uniform_weights(n_antennas))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_uniform_weights_cached_and_read_only():
+    w = uniform_weights(4)
+    assert uniform_weights(4) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0

@@ -105,6 +105,14 @@ def test_unknown_key_rejected(tmp_path):
         load_config(write_config(tmp_path, {"bogus": 1}))
 
 
+def test_unknown_key_rejected_by_replace_as_from_a_file():
+    message = r"^unknown config key\(s\): bogus, zz$"
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict({"zz": 2, "bogus": 1})
+    with pytest.raises(ValidationError, match=message):
+        SystemConfig().replace(zz=2, bogus=1, N=8)
+
+
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

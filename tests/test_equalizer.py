@@ -183,6 +183,27 @@ def test_hm_at_lm_full_power_has_no_interference_term():
         assert got[user] == pytest.approx(7.0 * forward / noise, rel=1e-12)
 
 
+def test_reductions_equal_np_mean_bitwise():
+    # The power terms and the HM-at-LM energies are plain sums over the
+    # last axis divided by its length, which is what np.mean computes.
+    rng = np.random.default_rng(33)
+    for shape in ((256,), (8, 16), (16, 64)):
+        lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        idi = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        delta = mmse_spectrum(lam, 1.0)
+        noise_gain = np.abs(delta) ** 2
+        forward = np.mean(noise_gain * np.abs(lam) ** 2, axis=-1)
+        want = 0.5 * 3.0 * forward / (0.5 * 3.0 * forward + np.mean(noise_gain, axis=-1))
+        assert np.array_equal(hm_at_lm_snr(delta, lam, 0.5, 3.0), want)
+        if len(shape) == 1:
+            terms = detection_power_terms(delta, lam, idi)
+            assert terms == DetectionPowerTerms(
+                float(np.mean(np.abs(delta * lam) ** 2)),
+                float(np.mean(np.abs(delta * idi) ** 2)),
+                float(np.mean(noise_gain)),
+            )
+
+
 def test_hm_at_lm_monotone_in_p0():
     rng = np.random.default_rng(32)
     for _ in range(100):

@@ -1,13 +1,18 @@
 """Module layout: the trial path does not depend on the dense reference,
-and README.md documents the config schema field for field.
+importing the package loads no process-pool machinery, and README.md
+documents the config schema field for field.
 
-The package's source files are parsed, not imported or run, so a
-function-local import counts as much as a module-level one.
+The import-graph checks parse the package's source files rather than
+import them, so a function-local import counts as much as a
+module-level one.
 """
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +66,18 @@ def test_channel_imports_only_config():
 @pytest.mark.parametrize("module", FAST_PATH)
 def test_fast_path_does_not_import_validation(module):
     assert "validation" not in package_imports(module)
+
+
+def test_package_import_loads_no_pool_machinery():
+    # A fresh interpreter, so no other test's imports leak in.
+    probe = (
+        "import sys, ddlink_sim; "
+        "print(*(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_dense_reference_has_no_module_of_its_own():

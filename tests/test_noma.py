@@ -85,6 +85,19 @@ def test_assemble_without_hm_stage_ignores_it():
     assert assemble_rates(np.array([0.1, 0.2]), np.array([3.0, 7.0]))[4] == rates[1]
 
 
+def test_assemble_equals_per_stage_form_bitwise():
+    # One log2 over both stages and plain means give the bits of the
+    # per-stage form.
+    rng = np.random.default_rng(34)
+    for n_users in (1, 3, 8, 16):
+        hm_at_lm, lm = rng.exponential(10.0, (2, n_users))
+        se_hm_at_lm, se_lm = np.log2(1.0 + hm_at_lm), np.log2(1.0 + lm)
+        for include in (True, False):
+            per_user = np.minimum(se_hm_at_lm, se_lm) if include else se_lm
+            want = [se_hm_at_lm.mean(), se_hm_at_lm.min(), se_lm.mean(), se_lm.min()]
+            assert np.array_equal(assemble_rates(hm_at_lm, lm, include), [*want, per_user.min()])
+
+
 def small_config(**changes):
     base = dict(N=8, M=8, N_p=3, l_max=4, L_0=4, U=4)
     base.update(changes)

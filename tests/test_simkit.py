@@ -1,5 +1,6 @@
 """Trial seeding, paired trials, outage estimation, and sweep aggregation."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -287,7 +288,7 @@ class RecordingPool:
 
 
 def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(simkit, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
