@@ -1,6 +1,7 @@
 """Scenario configuration: validated parameters with simulation defaults."""
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -205,7 +206,6 @@ class SystemConfig:
 
     def replace(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields changed (revalidated)."""
-        _reject_unknown_keys(changes)
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
@@ -223,7 +223,6 @@ def config_from_dict(raw: dict) -> SystemConfig:
     """
     if not isinstance(raw, dict):
         raise ParseError(f"config document must be a JSON object, got {type(raw).__name__}")
-    _reject_unknown_keys(raw)
     return SystemConfig(**raw)
 
 
@@ -231,6 +230,20 @@ def _reject_unknown_keys(keys) -> None:
     unknown = sorted(set(keys) - {field.name for field in dataclasses.fields(SystemConfig)})
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+
+
+# The constructor, `replace` and `config_from_dict` all run this check:
+# the generated __init__ alone would raise a bare TypeError for the key.
+_dataclass_init = SystemConfig.__init__
+
+
+@functools.wraps(_dataclass_init)
+def _init_rejecting_unknown_keys(self, *args, **kwargs):
+    _reject_unknown_keys(kwargs)
+    _dataclass_init(self, *args, **kwargs)
+
+
+SystemConfig.__init__ = _init_rejecting_unknown_keys
 
 
 def load_config(path: str | Path | None = None) -> SystemConfig:

@@ -6,11 +6,11 @@ and the SINR formulas are closed forms on the spectral grid.  This
 module holds everything that checks them against explicit linear
 algebra, and nothing on the trial path imports it:
 
-  build_basis, diagonalize_bccb   Kronecker DFT basis and dense diagonalizer
+  build_basis, diagonalize_bccb   Kronecker DFT factors, dense diagonalizer
   hm_channel_matrices,            dense channel matrices, one cyclic shift
   lm_channel_matrix               per subpath or tap
   empirical_hm_sinr               signal-level oracle: symbols through the
-                                  dense channel and a dense equalizer
+                                  dense channel and equalizer, LM as one stream
 
 Six checks, each reduced to a single observed number against a bound:
 
@@ -37,14 +37,11 @@ from .channel import (
     _path_sum,
     _tap_phase,
     hm_eigen_spectra,
-    lm_subchannel_gains,
     sample_hm_channel,
-    sample_lm_channel,
     subpath_ratios,
 )
 from .config import SystemConfig, db_to_linear, load_config
 from .equalizer import detection_power_terms, hm_detection_snr, mmse_spectrum
-from .noma import allocate_power
 from .simkit import derive_trial_seed
 
 # Reserved seed-point indices, far above any sweep-grid index, so the
@@ -86,8 +83,9 @@ def _unitary_dft(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def build_basis(n_doppler: int, n_delay: int) -> np.ndarray:
-    """Unitary (N*M, N*M) basis that diagonalizes block-circulant matrices.
+def build_basis(n_doppler: int, n_delay: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker factors (F_M, F_N) of the unitary (N*M, N*M) basis
+    psi = kron(F_M, F_N) that diagonalizes block-circulant matrices.
 
     The delay-domain DFT factor sits outermost so that column j = k + N*l
     of the basis sees the N-point Doppler factor inside each length-N
@@ -95,26 +93,35 @@ def build_basis(n_doppler: int, n_delay: int) -> np.ndarray:
     i = m_del*N + m_dopp pairs delay frequency m_del with Doppler
     frequency m_dopp.
     """
-    return np.kron(_unitary_dft(n_delay), _unitary_dft(n_doppler))
+    return _unitary_dft(n_delay), _unitary_dft(n_doppler)
 
 
-def diagonalize_bccb(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _apply_basis(f_delay: np.ndarray, f_doppler: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """kron(f_delay, f_doppler) @ x, one factor per axis of x's (M, N) rows."""
+    m, n, cols = len(f_delay), len(f_doppler), x.shape[1]
+    y = (f_delay @ x.reshape(m, n * cols)).reshape(m, n, cols)
+    return (f_doppler @ y).reshape(m * n, cols)
+
+
+def diagonalize_bccb(h: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Return the eigenvalues of a block-circulant matrix.
 
-    Computes psi @ h @ psi^H for the basis psi from `build_basis` and
-    checks that the off-diagonal residual is below BCCB_RTOL relative
-    to the largest diagonal entry; raises NotBlockCirculant otherwise.
-    The returned eigenvalue order follows the spectral index
-    i = m_del*N + m_dopp.
+    Computes psi @ h @ psi^H for psi = kron(*basis) without forming psi;
+    psi is symmetric, so h @ psi^H is the conjugate factors' left action
+    on h^T, transposed.  Checks that every off-diagonal entry is below
+    BCCB_RTOL relative to the largest diagonal entry; raises
+    NotBlockCirculant otherwise.  The eigenvalues come in spectral index
+    order i = m_del*N + m_dopp.
     """
     h = np.asarray(h, dtype=complex)
-    nm = psi.shape[0]
+    f_delay, f_doppler = basis
+    nm = len(f_delay) * len(f_doppler)
     if h.shape != (nm, nm):
         raise ValueError(f"matrix shape {h.shape} does not match basis size {nm}")
-    transformed = psi @ h @ psi.conj().T
+    left = _apply_basis(f_delay, f_doppler, h)
+    transformed = _apply_basis(f_delay.conj(), f_doppler.conj(), left.T).T
     diag = np.diagonal(transformed).copy()
-    off = transformed - np.diag(diag)
-    residual = float(np.abs(off).max())
+    residual = float(np.abs(transformed - np.diag(diag)).max())
     scale = float(np.abs(diag).max())
     if residual > BCCB_RTOL * scale:
         raise NotBlockCirculant(
@@ -202,7 +209,6 @@ class EmpiricalSinr:
 
 def empirical_hm_sinr(
     ch: HMChannelRealization,
-    lm_channels: LMChannels,
     cfg: SystemConfig,
     rho_t: float,
     rng: np.random.Generator,
@@ -212,63 +218,58 @@ def empirical_hm_sinr(
 
     Independent of the spectral fast path: builds the dense channel
     matrices, solves the regularized normal equations for the equalizer,
-    transmits white unit-power symbol vectors for all U + 1 users with
-    the configured power split, adds noise of variance 1/rho_t, and
-    compares the known equalized signal component against the residual.
+    transmits white unit-power symbols at share p0 for the HM user and
+    1 - p0 for the LM users, adds noise of variance 1/rho_t, and compares
+    the known equalized signal component against the residual.  The LM
+    users' independent white streams at shares summing to 1 - p0 add up
+    to exactly one CN(0, 1 - p0) stream, so one stream stands for them.
     The frames go through in blocks of `_FRAME_BLOCK`; the estimate is
     over per-frame powers, with a delta-method standard error.  The
-    closed-form `hm_detection_snr` should agree with the returned value
+    closed form `hm_detection_snr` should agree with the returned value
     up to the cross terms it neglects plus Monte Carlo noise.
     """
-    n, m = cfg.N, cfg.M
-    nm = n * m
-    h_main, _, h_full = hm_channel_matrices(ch, n, m)
+    nm = cfg.N * cfg.M
+    h_main, _, h_full = hm_channel_matrices(ch, cfg.N, cfg.M)
 
     gram = h_main.conj().T @ h_main + cfg.rho * np.eye(nm)
     equalizer = np.linalg.solve(gram, h_main.conj().T)
     signal_map = equalizer @ h_main
 
-    shares = allocate_power(cfg.p0, lm_subchannel_gains(lm_channels, m))
-    amp = np.sqrt(shares)
-
+    own_amp, lm_amp = np.sqrt(cfg.p0), np.sqrt(1.0 - cfg.p0)
     sigma = np.sqrt(1.0 / rho_t)
     n_frames = max(1, int(np.ceil(n_symbols / nm)))
-    n_users = len(shares)
     sig_power = np.empty(n_frames)
     res_power = np.empty(n_frames)
     root_half = np.sqrt(0.5)
     for start in range(0, n_frames, _FRAME_BLOCK):
         n_block = min(_FRAME_BLOCK, n_frames - start)
-        # One row per frame, in the per-frame draw order: every user's
-        # real parts, their imaginary parts, then the noise's real and
-        # imaginary parts.  The normals are sequential, so this is the
-        # same stream as drawing them frame by frame.
-        draws = rng.standard_normal((n_block, 2 * n_users + 2, nm))
-        re, im = draws[:, :n_users], draws[:, n_users : 2 * n_users]
-        superposed = root_half * (amp @ re + 1j * (amp @ im))
-        noise = sigma * root_half * (draws[:, -2] + 1j * draws[:, -1])
+        # Six rows per frame, in the per-frame draw order: the HM
+        # user's real and imaginary parts, the LM stream's, then the
+        # noise's.  The normals are sequential, so this is the same
+        # stream as drawing them frame by frame.
+        draws = rng.standard_normal((n_block, 6, nm))
+        own = root_half * (draws[:, 0] + 1j * draws[:, 1])
+        lm = root_half * (draws[:, 2] + 1j * draws[:, 3])
+        superposed = own_amp * own + lm_amp * lm
+        noise = sigma * root_half * (draws[:, 4] + 1j * draws[:, 5])
         equalized = equalizer @ (h_full @ superposed.T + noise.T)
-        own = root_half * (re[:, 0] + 1j * im[:, 0])
-        signal = amp[0] * (signal_map @ own.T)
+        signal = own_amp * (signal_map @ own.T)
         residual = equalized - signal
         sig_power[start : start + n_block] = np.sum(np.abs(signal) ** 2, axis=0)
         res_power[start : start + n_block] = np.sum(np.abs(residual) ** 2, axis=0)
 
-    s_mean = sig_power.mean()
-    r_mean = res_power.mean()
+    s_mean, r_mean = sig_power.mean(), res_power.mean()
     value = float(s_mean / r_mean)
     if s_mean == 0.0:
         return EmpiricalSinr(0.0, 0.0, n_frames)
-    if n_frames > 1:
-        # Delta method for the ratio of two correlated means.
-        s_var = sig_power.var(ddof=1) / n_frames
-        r_var = res_power.var(ddof=1) / n_frames
-        covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
-        rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
-        stderr = float(value * np.sqrt(max(rel_var, 0.0)))
-    else:
-        stderr = float("nan")
-    return EmpiricalSinr(value, stderr, n_frames)
+    if n_frames == 1:
+        return EmpiricalSinr(value, float("nan"), n_frames)
+    # Delta method for the ratio of two correlated means.
+    s_var = sig_power.var(ddof=1) / n_frames
+    r_var = res_power.var(ddof=1) / n_frames
+    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
+    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
+    return EmpiricalSinr(value, float(value * np.sqrt(max(rel_var, 0.0))), n_frames)
 
 
 # === check results ===================================================
@@ -314,11 +315,7 @@ def format_check(check: CheckResult) -> str:
 
 def _sized_config(cfg: SystemConfig, n: int) -> SystemConfig:
     return cfg.replace(
-        N=n,
-        M=n,
-        N_p=min(cfg.N_p, (n - 1) // 2),
-        l_max=min(cfg.l_max, n - 1),
-        U=min(cfg.U, n),
+        N=n, M=n, N_p=min(cfg.N_p, (n - 1) // 2), l_max=min(cfg.l_max, n - 1), U=min(cfg.U, n)
     )
 
 
@@ -395,12 +392,11 @@ def check_empirical_sinr(cfg: SystemConfig) -> CheckResult:
     for r in range(_SINR_REALIZATIONS):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 3, r))
         hm = sample_hm_channel(sub, rng)
-        lm_channels = sample_lm_channel(sub, rng)
         spectra = hm_eigen_spectra(hm, sub.N, sub.M)
         delta = mmse_spectrum(spectra.lambda_main, sub.rho)
         terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
         analytic = hm_detection_snr(terms, sub.p0, rho_t)
-        measured = empirical_hm_sinr(hm, lm_channels, sub, rho_t, rng)
+        measured = empirical_hm_sinr(hm, sub, rho_t, rng)
         worst = max(worst, abs(measured.value - analytic) / analytic)
     detail = (
         f"max relative gap over {_SINR_REALIZATIONS} realizations, "

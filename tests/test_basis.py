@@ -21,17 +21,55 @@ def shift_matrix(n, m, doppler_shift, delay_shift):
 # === spectral basis ==================================================
 
 
+def random_shift_sum(rng, n, m):
+    """Five cyclic shifts with complex Gaussian weights."""
+    h = np.zeros((n * m, n * m), dtype=complex)
+    for _ in range(5):
+        coeff = rng.standard_normal() + 1j * rng.standard_normal()
+        h += coeff * shift_matrix(n, m, int(rng.integers(0, n)), int(rng.integers(0, m)))
+    return h
+
+
+def dense_diagonal(h, basis):
+    """The dense sandwich psi @ h @ psi^H on the Kronecker product."""
+    psi = np.kron(*basis)
+    return np.diagonal(psi @ h @ psi.conj().T)
+
+
 def test_basis_trivial_size():
-    basis = build_basis(1, 1)
+    basis = np.kron(*build_basis(1, 1))
     assert basis.shape == (1, 1)
     assert abs(basis[0, 0] - 1.0) < 1e-15
 
 
 def test_basis_is_unitary():
     for n, m in ((2, 2), (4, 3), (8, 8), (16, 16)):
-        basis = build_basis(n, m)
+        basis = np.kron(*build_basis(n, m))
         gram = basis @ basis.conj().T
         assert np.abs(gram - np.eye(n * m)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (8, 4), (16, 16)])
+def test_factored_diagonalizer_matches_dense_sandwich(n, m):
+    rng = np.random.default_rng(47 + n + m)
+    basis = build_basis(n, m)
+    for _ in range(3):
+        h = random_shift_sum(rng, n, m)
+        want = dense_diagonal(h, basis)
+        got = diagonalize_bccb(h, basis)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (8, 4)])
+def test_diagonalize_rejects_one_perturbed_entry(n, m):
+    rng = np.random.default_rng(53 + n + m)
+    basis = build_basis(n, m)
+    h = random_shift_sum(rng, n, m)
+    diagonalize_bccb(h, basis)
+    row, col = np.argwhere(h == 0)[0]
+    h[row, col] = 1e-6 * np.abs(h).max()
+    with pytest.raises(NotBlockCirculant):
+        diagonalize_bccb(h, basis)
 
 
 def test_doppler_shift_diagonalizes_to_roots_of_unity():
@@ -79,10 +117,7 @@ def test_random_shift_combination_is_block_circulant():
     rng = np.random.default_rng(43)
     n, m = 8, 4
     basis = build_basis(n, m)
-    h = np.zeros((n * m, n * m), dtype=complex)
-    for _ in range(5):
-        coeff = rng.standard_normal() + 1j * rng.standard_normal()
-        h += coeff * shift_matrix(n, m, int(rng.integers(0, n)), int(rng.integers(0, m)))
+    h = random_shift_sum(rng, n, m)
     lam = diagonalize_bccb(h, basis)
     assert lam.shape == (n * m,)
 

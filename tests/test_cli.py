@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ def test_unknown_key_rejected_by_replace_as_from_a_file():
         config_from_dict({"zz": 2, "bogus": 1})
     with pytest.raises(ValidationError, match=message):
         SystemConfig().replace(zz=2, bogus=1, N=8)
+
+
+def test_unknown_key_rejected_by_constructor_and_config_still_pickles():
+    with pytest.raises(ValidationError, match=r"^unknown config key\(s\): bogus$"):
+        SystemConfig(bogus=1)
+    cfg = config_from_dict(SMALL)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def test_malformed_json_rejected(tmp_path):

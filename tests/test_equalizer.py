@@ -272,7 +272,7 @@ def test_empirical_noise_free_identity_channel():
     cfg = small_config(mode="real", p0=1.0)
     rng = np.random.default_rng(51)
     ch = clean_single_path(cfg)
-    got = empirical_hm_sinr(ch, sample_lm_channel(cfg, rng), cfg, 1e12, rng, n_symbols=4000)
+    got = empirical_hm_sinr(ch, cfg, 1e12, rng, n_symbols=4000)
     # Full power on the strong user over an identity-like channel with
     # essentially no noise: the measured ratio is limited only by the
     # regularizer bias, far above 1e6.
@@ -283,7 +283,7 @@ def test_empirical_zero_power_is_zero():
     cfg = small_config(mode="real", p0=0.0)
     rng = np.random.default_rng(52)
     ch = clean_single_path(cfg)
-    got = empirical_hm_sinr(ch, sample_lm_channel(cfg, rng), cfg, 10.0, rng, n_symbols=2000)
+    got = empirical_hm_sinr(ch, cfg, 10.0, rng, n_symbols=2000)
     assert got.value == 0.0
     assert got.stderr == 0.0
 
@@ -292,7 +292,7 @@ def test_empirical_frame_accounting():
     cfg = small_config(mode="real")
     rng = np.random.default_rng(53)
     ch = sample_hm_channel(cfg, rng)
-    got = empirical_hm_sinr(ch, sample_lm_channel(cfg, rng), cfg, 10.0, rng, n_symbols=1000)
+    got = empirical_hm_sinr(ch, cfg, 10.0, rng, n_symbols=1000)
     assert got.n_frames == int(np.ceil(1000 / (cfg.N * cfg.M)))
     assert 0.0 < got.stderr < got.value
 
@@ -324,20 +324,66 @@ def test_empirical_matches_per_bin_power_model():
     for seed in (61, 62, 63):
         rng = np.random.default_rng(seed)
         ch = sample_hm_channel(cfg, rng)
-        lm_channels = sample_lm_channel(cfg, rng)
         model = per_bin_power_model(cfg, ch, rho_t)
-        got = empirical_hm_sinr(ch, lm_channels, cfg, rho_t, rng, n_symbols=50_000)
+        got = empirical_hm_sinr(ch, cfg, rho_t, rng, n_symbols=50_000)
         assert got.value == pytest.approx(model, rel=0.03)
 
 
-def per_frame_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
-    """`empirical_hm_sinr` one frame at a time, with four draws per
-    frame: the reference for the blocked oracle."""
+def oracle_estimate(sig_power, res_power):
+    """Ratio of the mean per-frame powers, with its delta-method stderr."""
+    n_frames = len(sig_power)
+    s_mean, r_mean = sig_power.mean(), res_power.mean()
+    value = s_mean / r_mean
+    if n_frames == 1:
+        return EmpiricalSinr(value, float("nan"), n_frames)
+    s_var = sig_power.var(ddof=1) / n_frames
+    r_var = res_power.var(ddof=1) / n_frames
+    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
+    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
+    return EmpiricalSinr(value, value * np.sqrt(max(rel_var, 0.0)), n_frames)
+
+
+def dense_equalizer(ch, cfg):
     nm = cfg.N * cfg.M
     h_main, _, h_full = hm_channel_matrices(ch, cfg.N, cfg.M)
     gram = h_main.conj().T @ h_main + cfg.rho * np.eye(nm)
     equalizer = np.linalg.solve(gram, h_main.conj().T)
-    signal_map = equalizer @ h_main
+    return equalizer, equalizer @ h_main, h_full
+
+
+def per_frame_oracle(ch, cfg, rho_t, rng, n_symbols):
+    """`empirical_hm_sinr` one frame at a time, with six draws per frame
+    (real and imaginary parts of the HM stream, the aggregate LM stream
+    and the noise): the reference for the blocked oracle."""
+    nm = cfg.N * cfg.M
+    equalizer, signal_map, h_full = dense_equalizer(ch, cfg)
+    own_amp, lm_amp = np.sqrt(cfg.p0), np.sqrt(1.0 - cfg.p0)
+    sigma = np.sqrt(1.0 / rho_t)
+    n_frames = max(1, int(np.ceil(n_symbols / nm)))
+    sig_power = np.empty(n_frames)
+    res_power = np.empty(n_frames)
+    root_half = np.sqrt(0.5)
+    for frame in range(n_frames):
+        own_re, own_im, lm_re, lm_im, noise_re, noise_im = (
+            rng.standard_normal(nm) for _ in range(6)
+        )
+        own = root_half * (own_re + 1j * own_im)
+        lm = root_half * (lm_re + 1j * lm_im)
+        noise = sigma * root_half * (noise_re + 1j * noise_im)
+        equalized = equalizer @ (h_full @ (own_amp * own + lm_amp * lm) + noise)
+        signal = own_amp * (signal_map @ own)
+        residual = equalized - signal
+        sig_power[frame] = np.vdot(signal, signal).real
+        res_power[frame] = np.vdot(residual, residual).real
+    return oracle_estimate(sig_power, res_power)
+
+
+def per_user_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
+    """The oracle one frame at a time with a stream per user at its
+    inverse-magnitude share: the reference form that the aggregate LM
+    stream stands in for."""
+    nm = cfg.N * cfg.M
+    equalizer, signal_map, h_full = dense_equalizer(ch, cfg)
     amp = np.sqrt(allocate_power(cfg.p0, lm_subchannel_gains(lm_channels, cfg.M)))
     sigma = np.sqrt(1.0 / rho_t)
     n_frames = max(1, int(np.ceil(n_symbols / nm)))
@@ -354,15 +400,7 @@ def per_frame_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
         residual = equalized - signal
         sig_power[frame] = np.vdot(signal, signal).real
         res_power[frame] = np.vdot(residual, residual).real
-    s_mean, r_mean = sig_power.mean(), res_power.mean()
-    value = s_mean / r_mean
-    if n_frames == 1:
-        return EmpiricalSinr(value, float("nan"), n_frames)
-    s_var = sig_power.var(ddof=1) / n_frames
-    r_var = res_power.var(ddof=1) / n_frames
-    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
-    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
-    return EmpiricalSinr(value, value * np.sqrt(max(rel_var, 0.0)), n_frames)
+    return oracle_estimate(sig_power, res_power)
 
 
 @pytest.mark.parametrize("n_frames", [1, 16, 37])
@@ -372,15 +410,28 @@ def test_blocked_oracle_matches_per_frame_loop(n_frames):
     n_symbols = n_frames * cfg.N * cfg.M
     rng = np.random.default_rng(81)
     ch = sample_hm_channel(cfg, rng)
-    lm_channels = sample_lm_channel(cfg, rng)
     rng_blocked, rng_loop = np.random.default_rng(82), np.random.default_rng(82)
-    got = empirical_hm_sinr(ch, lm_channels, cfg, 10.0, rng_blocked, n_symbols=n_symbols)
-    want = per_frame_oracle(ch, lm_channels, cfg, 10.0, rng_loop, n_symbols)
+    got = empirical_hm_sinr(ch, cfg, 10.0, rng_blocked, n_symbols=n_symbols)
+    want = per_frame_oracle(ch, cfg, 10.0, rng_loop, n_symbols)
     assert got.n_frames == want.n_frames == n_frames
     assert got.value == pytest.approx(want.value, rel=1e-12)
     assert got.stderr == pytest.approx(want.stderr, rel=1e-12, nan_ok=True)
     # Same draws consumed: the generators continue identically.
     assert rng_blocked.standard_normal() == rng_loop.standard_normal()
+
+
+@pytest.mark.parametrize("seed", [91, 92, 93, 94, 95])
+def test_aggregate_lm_stream_matches_per_user_streams(seed):
+    # The LM users' superposition of independent CN(0, 1) streams at
+    # shares summing to 1 - p0 is one CN(0, 1 - p0) stream, so both
+    # forms estimate the same SINR; their draws are independent.
+    cfg = small_config(mode="real")
+    rng = np.random.default_rng(seed)
+    ch = sample_hm_channel(cfg, rng)
+    lm_channels = sample_lm_channel(cfg, rng)
+    new = empirical_hm_sinr(ch, cfg, 10.0, np.random.default_rng([seed, 1]), n_symbols=20_000)
+    old = per_user_oracle(ch, lm_channels, cfg, 10.0, np.random.default_rng([seed, 2]), 20_000)
+    assert abs(new.value - old.value) <= 4.0 * np.hypot(new.stderr, old.stderr)
 
 
 def test_empirical_near_closed_form_on_average():
@@ -391,10 +442,9 @@ def test_empirical_near_closed_form_on_average():
     rho_t = 10.0
     rng = np.random.default_rng(71)
     ch = sample_hm_channel(cfg, rng)
-    lm_channels = sample_lm_channel(cfg, rng)
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
     delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
     terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
     analytic = hm_detection_snr(terms, cfg.p0, rho_t)
-    got = empirical_hm_sinr(ch, lm_channels, cfg, rho_t, rng, n_symbols=50_000)
+    got = empirical_hm_sinr(ch, cfg, rho_t, rng, n_symbols=50_000)
     assert got.value == pytest.approx(analytic, rel=0.25)
