@@ -93,19 +93,6 @@ class LMChannels:
         object.__setattr__(self, "gain", gain)
 
 
-@dataclass(frozen=True)
-class EigenSpectra:
-    """Eigenvalue spectra of one HM realization.
-
-    Each array has shape (N*M,) in spectral order i = m_del*N + m_dopp.
-    lambda_main holds the q = 0 subpath image and lambda_idi the
-    truncated q != 0 leakage.
-    """
-
-    lambda_main: np.ndarray
-    lambda_idi: np.ndarray
-
-
 # === subpath leakage =================================================
 
 
@@ -256,9 +243,12 @@ def _path_sum(ch: HMChannelRealization, dopp: np.ndarray, n_delay: int) -> np.nd
     return spectra.reshape(*dopp.shape[:-2], n_delay * n_doppler)
 
 
-def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> EigenSpectra:
-    """Eigenvalue spectra of the main and idi matrices; no dense matrix
-    is formed."""
+def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
+    """Eigenvalue spectra of the main and idi matrices, shape (2, N*M) in
+    spectral order i = m_del*N + m_dopp; no dense matrix is formed.
+
+    Row 0 is the q = 0 subpath image, row 1 the truncated q != 0 leakage.
+    """
     resp, ratios = _doppler_responses(ch, n_doppler)
     q0 = ch.subpath_halfwidth
     leak = ratios.copy()
@@ -266,7 +256,7 @@ def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> 
     main = resp[:, :, q0] * ratios[:, q0]
     idi = np.einsum("nlq,lq->nl", resp, leak)
     # One product for both images: their path weights are the same.
-    return EigenSpectra(*_path_sum(ch, np.stack((main, idi)), n_delay))
+    return _path_sum(ch, np.stack((main, idi)), n_delay)
 
 
 def lm_eigen_spectrum(lm: LMChannels, n_delay: int) -> np.ndarray:

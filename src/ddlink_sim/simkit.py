@@ -90,9 +90,9 @@ def _members(cfg: SystemConfig) -> tuple[bool, bool]:
 
 
 def _hm_rate(cfg: SystemConfig, ch, rho_t: float) -> float:
-    spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
-    terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
+    lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
+    delta = mmse_spectrum(lam_main, cfg.rho)
+    terms = detection_power_terms(delta, lam_main, lam_idi)
     return np.log2(1.0 + hm_detection_snr(terms, cfg.p0, rho_t))
 
 

@@ -7,8 +7,8 @@ module holds everything that checks them against explicit linear
 algebra, and nothing on the trial path imports it:
 
   build_basis, diagonalize_bccb   Kronecker DFT factors, dense diagonalizer
-  hm_channel_matrices,            dense channel matrices, one cyclic shift
-  lm_channel_matrix               per subpath or tap
+  hm_channel_matrices,            dense channel matrices, each one scatter
+  lm_channel_matrix               of scaled cyclic shifts, one per subpath or tap
   empirical_hm_sinr               signal-level oracle: symbols through the
                                   dense channel and equalizer, LM as one stream
 
@@ -25,12 +25,12 @@ The suite is what the CLI `validate` subcommand runs; the library entry
 point is run_validation.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    EigenSpectra,
     HMChannelRealization,
     LMChannels,
     _doppler_responses,
@@ -134,12 +134,20 @@ def diagonalize_bccb(h: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> np.
 # === dense matrices ==================================================
 
 
-def _shift_columns(n_doppler: int, n_delay: int, doppler_shift: int, delay_shift: int) -> np.ndarray:
-    """Column index hit by each row for one cyclic delay-Doppler shift."""
+def _shift_sum(
+    coeff: np.ndarray, doppler_shift: np.ndarray, delay_shift: np.ndarray, n_doppler: int, n_delay: int
+) -> np.ndarray:
+    """Dense (N*M, N*M) sum of the cyclic delay-Doppler shifts, shift s
+    scaled by coeff[s]; shifts that hit the same entry accumulate in
+    order."""
     i = np.arange(n_doppler * n_delay)
-    k = i % n_doppler
-    l = i // n_doppler
-    return (k - doppler_shift) % n_doppler + n_doppler * ((l - delay_shift) % n_delay)
+    k, l = i % n_doppler, i // n_doppler
+    cols = (k - np.ravel(doppler_shift)[:, None]) % n_doppler + n_doppler * (
+        (l - np.ravel(delay_shift)[:, None]) % n_delay
+    )  # (S, N*M)
+    h = np.zeros((i.size, i.size), dtype=complex)
+    np.add.at(h, (i, cols), np.ravel(coeff)[:, None])
+    return h
 
 
 def hm_channel_matrices(
@@ -151,45 +159,34 @@ def hm_channel_matrices(
     k_p - q, delay by l_p.  The full matrix is the exact sum of the
     other two by construction.
     """
-    nm = n_doppler * n_delay
-    main = np.zeros((nm, nm), dtype=complex)
-    idi = np.zeros((nm, nm), dtype=complex)
-    rows = np.arange(nm)
-    bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
     qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
-    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)  # (L_0, Q)
-    for doppler, delay, base, path_ratios in zip(ch.doppler, ch.delay, bases, ratios):
-        for q, ratio in zip(qs, path_ratios):
-            coeff = base * ratio
-            if coeff == 0:
-                continue
-            cols = _shift_columns(n_doppler, n_delay, doppler - q, delay)
-            target = main if q == 0 else idi
-            target[rows, cols] += coeff
+    bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
+    coeff = bases[:, None] * subpath_ratios(qs, ch.kappa[:, None], n_doppler)  # (L_0, Q)
+    doppler = ch.doppler[:, None] - qs
+    delay = np.broadcast_to(ch.delay[:, None], coeff.shape)
+    q0 = qs == 0
+    main = _shift_sum(coeff[:, q0], doppler[:, q0], delay[:, q0], n_doppler, n_delay)
+    idi = _shift_sum(coeff[:, ~q0], doppler[:, ~q0], delay[:, ~q0], n_doppler, n_delay)
     return main, idi, main + idi
 
 
 def lm_channel_matrix(lm: LMChannels, user: int, n_doppler: int, n_delay: int) -> np.ndarray:
     """Dense delay-only channel matrix of LM user `user` (1-based)."""
-    nm = n_doppler * n_delay
-    h = np.zeros((nm, nm), dtype=complex)
-    rows = np.arange(nm)
-    for delay, gain in zip(lm.delay[user - 1], lm.gain[user - 1]):
-        h[rows, _shift_columns(n_doppler, n_delay, 0, delay)] += gain
-    return h
+    row = user - 1
+    return _shift_sum(lm.gain[row], np.zeros_like(lm.delay[row]), lm.delay[row], n_doppler, n_delay)
 
 
 def spectral_decomposition_residual(
-    delta: np.ndarray, spectra: EigenSpectra, lambda_full: np.ndarray
+    delta: np.ndarray, spectra: np.ndarray, lambda_full: np.ndarray
 ) -> float:
     """Relative error of the equalized full spectrum against its split.
 
     Compares delta * lambda_full per bin with the sum of the equalized
-    main and leakage images; exact up to rounding when the spectra come
-    from the same realization.
+    main and leakage images, the two rows of `hm_eigen_spectra`; exact
+    up to rounding when the spectra come from the same realization.
     """
     total = delta * lambda_full
-    parts = delta * spectra.lambda_main + delta * spectra.lambda_idi
+    parts = delta * spectra[0] + delta * spectra[1]
     num = float(np.abs(total - parts).max())
     if num == 0.0:
         return 0.0
@@ -291,12 +288,7 @@ class CheckResult:
 
 
 def _result(name: str, observed: float, bound: float, op: str, detail: str) -> CheckResult:
-    if op == "<=":
-        passed = observed <= bound
-    elif op == ">=":
-        passed = observed >= bound
-    else:
-        raise ValueError(f"unknown comparison {op!r}")
+    passed = {"<=": operator.le, ">=": operator.ge}[op](observed, bound)
     # Comparisons against numpy scalars yield numpy bools, which the
     # JSON report writer rejects; store plain Python types throughout.
     return CheckResult(name, bool(passed), float(observed), float(bound), op, detail)
@@ -331,21 +323,20 @@ def check_dense_vs_fast(cfg: SystemConfig) -> CheckResult:
     sizes = (4, 8, 16)
     bases = {n: build_basis(n, n) for n in sizes}
     worst = 0.0
-    for r in range(_DENSE_REALIZATIONS):
-        n = sizes[r % len(sizes)]
-        sub = _sized_config(cfg, n)
-        rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 0, r))
-        ch = sample_hm_channel(sub, rng)
-        spectra = hm_eigen_spectra(ch, n, n)
-        fast_parts = (spectra.lambda_main, spectra.lambda_idi, full_spectrum(ch, n, n))
-        for dense, fast in zip(hm_channel_matrices(ch, n, n), fast_parts):
-            try:
-                lam = diagonalize_bccb(dense, bases[n])
-            except NotBlockCirculant as exc:
-                return CheckResult("dense-vs-fast", False, float("inf"), 1e-9, "<=", str(exc))
-            scale = max(np.abs(fast).max(), np.abs(lam).max(), 1e-30)
-            worst = max(worst, np.abs(lam - fast).max() / scale)
     detail = f"max relative deviation over {_DENSE_REALIZATIONS} realizations, sizes {sizes}"
+    try:
+        for r in range(_DENSE_REALIZATIONS):
+            n = sizes[r % len(sizes)]
+            sub = _sized_config(cfg, n)
+            rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 0, r))
+            ch = sample_hm_channel(sub, rng)
+            fast_parts = (*hm_eigen_spectra(ch, n, n), full_spectrum(ch, n, n))
+            for dense, fast in zip(hm_channel_matrices(ch, n, n), fast_parts):
+                lam = diagonalize_bccb(dense, bases[n])
+                scale = max(np.abs(fast).max(), np.abs(lam).max(), 1e-30)
+                worst = max(worst, np.abs(lam - fast).max() / scale)
+    except NotBlockCirculant as exc:
+        worst, detail = float("inf"), str(exc)
     return _result("dense-vs-fast", worst, 1e-9, "<=", detail)
 
 
@@ -356,7 +347,7 @@ def check_spectral_split(cfg: SystemConfig) -> CheckResult:
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 1, r))
         ch = sample_hm_channel(cfg, rng)
         spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-        delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+        delta = mmse_spectrum(spectra[0], cfg.rho)
         lambda_full = full_spectrum(ch, cfg.N, cfg.M)
         worst = max(worst, spectral_decomposition_residual(delta, spectra, lambda_full))
     detail = f"max relative residual over {_SPLIT_REALIZATIONS} realizations"
@@ -392,9 +383,9 @@ def check_empirical_sinr(cfg: SystemConfig) -> CheckResult:
     for r in range(_SINR_REALIZATIONS):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 3, r))
         hm = sample_hm_channel(sub, rng)
-        spectra = hm_eigen_spectra(hm, sub.N, sub.M)
-        delta = mmse_spectrum(spectra.lambda_main, sub.rho)
-        terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
+        lam_main, lam_idi = hm_eigen_spectra(hm, sub.N, sub.M)
+        delta = mmse_spectrum(lam_main, sub.rho)
+        terms = detection_power_terms(delta, lam_main, lam_idi)
         analytic = hm_detection_snr(terms, sub.p0, rho_t)
         measured = empirical_hm_sinr(hm, sub, rho_t, rng)
         worst = max(worst, abs(measured.value - analytic) / analytic)

@@ -203,9 +203,9 @@ def test_single_clean_path_gives_identity():
     assert np.array_equal(main, np.eye(64, dtype=complex))
     assert np.abs(idi).max() == 0.0
     assert np.array_equal(full, main)
-    spectra = hm_eigen_spectra(ch, 8, 8)
-    assert np.abs(spectra.lambda_main - 1.0).max() < 1e-12
-    assert np.abs(spectra.lambda_idi).max() == 0.0
+    lam_main, lam_idi = hm_eigen_spectra(ch, 8, 8)
+    assert np.abs(lam_main - 1.0).max() < 1e-12
+    assert np.abs(lam_idi).max() == 0.0
 
 
 def test_full_matrix_is_exact_sum_of_parts():
@@ -218,18 +218,16 @@ def test_full_matrix_is_exact_sum_of_parts():
 def test_ideal_spectra_have_zero_leakage():
     cfg = small_config()
     ch = without_fractional_doppler(sample_hm_channel(cfg, np.random.default_rng(61)))
-    spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    assert np.abs(spectra.lambda_idi).max() == 0.0
+    assert np.abs(hm_eigen_spectra(ch, cfg.N, cfg.M)[1]).max() == 0.0
 
 
 def test_fast_spectra_match_dense_diagonalization():
     for seed, n in ((67, 4), (71, 8)):
         cfg = small_config(N=n, M=n, N_p=(n - 1) // 2, l_max=n - 1, U=min(4, n))
         ch = sample_hm_channel(cfg, np.random.default_rng(seed))
-        spectra = hm_eigen_spectra(ch, n, n)
         basis = build_basis(n, n)
         dense = hm_channel_matrices(ch, n, n)
-        fast = (spectra.lambda_main, spectra.lambda_idi, full_spectrum(ch, n, n))
+        fast = (*hm_eigen_spectra(ch, n, n), full_spectrum(ch, n, n))
         for h, lam in zip(dense, fast):
             oracle = diagonalize_bccb(h, basis)
             scale = max(np.abs(oracle).max(), 1e-30)
@@ -240,9 +238,9 @@ def test_spectral_split_identity():
     cfg = small_config()
     for seed in range(5):
         ch = sample_hm_channel(cfg, np.random.default_rng(400 + seed))
-        spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
+        lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
         lambda_full = full_spectrum(ch, cfg.N, cfg.M)
-        residual = np.abs(lambda_full - spectra.lambda_main - spectra.lambda_idi).max()
+        residual = np.abs(lambda_full - lam_main - lam_idi).max()
         assert residual <= 1e-10 * max(np.abs(lambda_full).max(), 1.0)
 
 
@@ -300,6 +298,20 @@ def test_lm_gain_periodic_in_subcarrier():
     assert np.abs(gains[: cfg.M] - gains[cfg.M :]).max() < 1e-12
 
 
+@pytest.mark.parametrize("changes", [{}, {"U": 16, "M": 16}], ids=["defaults", "U16-M16"])
+def test_lm_gain_is_spectrum_at_own_subcarrier(changes):
+    # User u's gain is its delay-bin spectrum at bin -(u - 1) mod M, so
+    # the gains can be read off lm_eigen_spectrum.
+    cfg = SystemConfig(**changes)
+    rng = np.random.default_rng(350)
+    users = np.arange(cfg.U)
+    for _ in range(200):
+        lm = sample_lm_channel(cfg, rng)
+        gains = lm_subchannel_gains(lm, cfg.M)
+        at_own = lm_eigen_spectrum(lm, cfg.M)[users, -users % cfg.M]
+        assert np.all(np.abs(gains - at_own) <= 1e-12 * np.maximum(np.abs(gains), 1.0))
+
+
 # === kernels against the forms they replaced =========================
 # Each kernel on the trial path was rewritten for speed with its
 # outputs unchanged bit for bit; the earlier forms are kept here as the
@@ -348,9 +360,8 @@ def test_spectra_equal_per_image_products_bitwise(n):
         real = sample_hm_channel(cfg, rng)
         for ch in (real, without_fractional_doppler(real)):
             got = hm_eigen_spectra(ch, n, n)
-            main, idi = per_image_spectra(ch, n, n)
-            assert np.array_equal(got.lambda_main, main)
-            assert np.array_equal(got.lambda_idi, idi)
+            assert got.shape == (2, n * n)
+            assert np.array_equal(got, per_image_spectra(ch, n, n))
 
 
 @pytest.mark.parametrize(
@@ -391,3 +402,81 @@ def test_uniform_weights_cached_and_read_only():
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+# === dense builders against the loops they replaced ==================
+# Until 0.10.0 the dense builders scattered one cyclic shift per subpath
+# or tap in a Python loop; those loops are kept here as the references.
+
+
+def shift_columns(n_doppler, n_delay, doppler_shift, delay_shift):
+    """Column index hit by each row for one cyclic delay-Doppler shift."""
+    i = np.arange(n_doppler * n_delay)
+    k, ell = i % n_doppler, i // n_doppler
+    return (k - doppler_shift) % n_doppler + n_doppler * ((ell - delay_shift) % n_delay)
+
+
+def loop_channel_matrices(ch, n_doppler, n_delay):
+    """`hm_channel_matrices` as one scatter per subpath, in path order."""
+    nm = n_doppler * n_delay
+    main = np.zeros((nm, nm), dtype=complex)
+    idi = np.zeros((nm, nm), dtype=complex)
+    rows = np.arange(nm)
+    bases = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
+    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)
+    for doppler, delay, base, path_ratios in zip(ch.doppler, ch.delay, bases, ratios):
+        for q, ratio in zip(qs, path_ratios):
+            coeff = base * ratio
+            if coeff == 0:
+                continue
+            cols = shift_columns(n_doppler, n_delay, doppler - q, delay)
+            target = main if q == 0 else idi
+            target[rows, cols] += coeff
+    return main, idi, main + idi
+
+
+def loop_lm_matrix(lm, user, n_doppler, n_delay):
+    """`lm_channel_matrix` as one scatter per tap, in tap order."""
+    nm = n_doppler * n_delay
+    h = np.zeros((nm, nm), dtype=complex)
+    for delay, gain in zip(lm.delay[user - 1], lm.gain[user - 1]):
+        h[np.arange(nm), shift_columns(n_doppler, n_delay, 0, delay)] += gain
+    return h
+
+
+def assert_builders_agree(ch, n):
+    # The builder scales the subpaths in one array product, the loop one
+    # scalar product at a time; the two round apart by about one ulp.
+    for got, want in zip(hm_channel_matrices(ch, n, n), loop_channel_matrices(ch, n, n)):
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_dense_builder_matches_per_subpath_loop(n):
+    cfg = SystemConfig(N=n, M=n, N_p=min(5, (n - 1) // 2), l_max=min(4, n - 1), U=min(8, n))
+    rng = np.random.default_rng(330 + n)
+    for _ in range(20):
+        real = sample_hm_channel(cfg, rng)
+        for ch in (real, without_fractional_doppler(real)):
+            assert_builders_agree(ch, n)
+
+
+def test_dense_builder_sums_coinciding_shifts():
+    # Two paths on the same Doppler and delay taps: their q = 0 shifts,
+    # and every leakage shift, land on the same entries.
+    gain = np.array([0.6 + 0.2j, -0.3 + 0.5j])
+    ch = HMChannelRealization([1, 1], [2, 2], [0.2, -0.3], gain, 2)
+    assert_builders_agree(ch, 8)
+    main = hm_channel_matrices(ch, 8, 8)[0]
+    assert np.count_nonzero(main[0]) == 1
+
+
+def test_lm_matrix_matches_per_tap_loop():
+    # User 1's padding taps share delay 0 with its first tap.
+    lm = LMChannels([[0, 3, 0, 0], [0, 1, 2, 5]], [[0.8 - 0.1j, 0.3j, 0, 0], [0.5, -0.5, 0.5j, 1]])
+    sampled = sample_lm_channel(small_config(U=8), np.random.default_rng(340))
+    for channels in (lm, sampled):
+        for user in range(1, channels.gain.shape[0] + 1):
+            got = lm_channel_matrix(channels, user, 8, 8)
+            assert np.array_equal(got, loop_lm_matrix(channels, user, 8, 8))

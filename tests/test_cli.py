@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ddlink_sim import cli
+from ddlink_sim import cli, validation
 from ddlink_sim.channel import sample_hm_channel
 from ddlink_sim.config import (
     ParseError,
@@ -17,7 +17,14 @@ from ddlink_sim.config import (
     config_from_dict,
     load_config,
 )
-from ddlink_sim.validation import CheckResult, check_truncation_energy, check_worked_example
+from ddlink_sim.validation import (
+    CheckResult,
+    NotBlockCirculant,
+    check_dense_vs_fast,
+    check_truncation_energy,
+    check_worked_example,
+    run_validation,
+)
 
 SMALL = {
     "N": 8,
@@ -499,3 +506,26 @@ def test_validate_report_serializes_real_check_results(tmp_path, monkeypatch):
     names = [check["name"] for check in payload["checks"]]
     assert names == ["truncation", "worked-example"]
     assert all(check["passed"] is True for check in payload["checks"])
+
+
+def test_dense_vs_fast_reports_a_matrix_that_is_not_block_circulant(monkeypatch):
+    def reject(h, basis):
+        raise NotBlockCirculant("synthetic")
+
+    monkeypatch.setattr(validation, "diagonalize_bccb", reject)
+    assert check_dense_vs_fast(SystemConfig()) == CheckResult(
+        "dense-vs-fast", False, math.inf, 1e-9, "<=", "synthetic"
+    )
+
+
+def test_validate_observed_values_at_defaults():
+    observed = {check.name: check for check in run_validation(SystemConfig())}
+    assert [name for name, check in observed.items() if not check.passed] == ["empirical-sinr"]
+    assert observed["spectral-split"].observed == 4.622027700290073e-16
+    assert observed["ratio-identities"].observed == 4.095858920016109e-14
+    assert observed["truncation"].observed == 0.9785580402795427
+    assert observed["worked-example"].observed == 3.3306690738754696e-16
+    assert observed["dense-vs-fast"].observed <= 1e-13
+    # The closed form drops the desired-leakage cross term; ROADMAP item 2
+    # adds it and re-records this value.
+    assert observed["empirical-sinr"].observed == pytest.approx(0.16848728021049966, rel=1e-9)

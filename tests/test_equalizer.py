@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ddlink_sim.channel import (
-    EigenSpectra,
     HMChannelRealization,
     hm_eigen_spectra,
     lm_subchannel_gains,
@@ -243,7 +242,7 @@ def test_decomposition_residual_on_sampled_channels():
     for _ in range(20):
         ch = sample_hm_channel(cfg, rng)
         spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-        delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
+        delta = mmse_spectrum(spectra[0], cfg.rho)
         lambda_full = full_spectrum(ch, cfg.N, cfg.M)
         assert spectral_decomposition_residual(delta, spectra, lambda_full) <= 1e-12
 
@@ -253,8 +252,9 @@ def test_decomposition_residual_detects_mismatch():
     rng = np.random.default_rng(42)
     ch = sample_hm_channel(cfg, rng)
     spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
-    broken = EigenSpectra(spectra.lambda_main, spectra.lambda_idi + 1e-6)
+    delta = mmse_spectrum(spectra[0], cfg.rho)
+    broken = spectra.copy()
+    broken[1] += 1e-6
     lambda_full = full_spectrum(ch, cfg.N, cfg.M)
     assert spectral_decomposition_residual(delta, broken, lambda_full) > 1e-8
 
@@ -304,11 +304,11 @@ def per_bin_power_model(cfg, ch, rho_t):
     and leakage branches that the closed form drops, so it tracks the
     symbol-level measurement for any realization.
     """
-    spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
-    terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
-    delta_e = delta * spectra.lambda_main
-    delta_f = delta * spectra.lambda_idi
+    lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
+    delta = mmse_spectrum(lam_main, cfg.rho)
+    terms = detection_power_terms(delta, lam_main, lam_idi)
+    delta_e = delta * lam_main
+    delta_f = delta * lam_idi
     cross = 2.0 * float(np.mean((delta_e * np.conj(delta_f)).real))
     denom = (
         (1.0 - cfg.p0) * rho_t * (terms.desired + terms.leakage + cross)
@@ -442,9 +442,9 @@ def test_empirical_near_closed_form_on_average():
     rho_t = 10.0
     rng = np.random.default_rng(71)
     ch = sample_hm_channel(cfg, rng)
-    spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    delta = mmse_spectrum(spectra.lambda_main, cfg.rho)
-    terms = detection_power_terms(delta, spectra.lambda_main, spectra.lambda_idi)
+    lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
+    delta = mmse_spectrum(lam_main, cfg.rho)
+    terms = detection_power_terms(delta, lam_main, lam_idi)
     analytic = hm_detection_snr(terms, cfg.p0, rho_t)
     got = empirical_hm_sinr(ch, cfg, rho_t, rng, n_symbols=50_000)
     assert got.value == pytest.approx(analytic, rel=0.25)
