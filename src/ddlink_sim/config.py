@@ -1,7 +1,6 @@
 """Scenario configuration: validated parameters with simulation defaults."""
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -140,6 +139,11 @@ class SystemConfig:
     mode: str = "both"
     lm_min_includes_hm_stage: bool = True
 
+    def __new__(cls, *args, **kwargs):
+        # Runs before the generated __init__, which would raise a bare TypeError.
+        _reject_unknown_keys(kwargs)
+        return super().__new__(cls)
+
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = _TYPE_RULES[field.type](field.name, getattr(self, field.name))
@@ -230,20 +234,6 @@ def _reject_unknown_keys(keys) -> None:
     unknown = sorted(set(keys) - {field.name for field in dataclasses.fields(SystemConfig)})
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-
-
-# The constructor, `replace` and `config_from_dict` all run this check:
-# the generated __init__ alone would raise a bare TypeError for the key.
-_dataclass_init = SystemConfig.__init__
-
-
-@functools.wraps(_dataclass_init)
-def _init_rejecting_unknown_keys(self, *args, **kwargs):
-    _reject_unknown_keys(kwargs)
-    _dataclass_init(self, *args, **kwargs)
-
-
-SystemConfig.__init__ = _init_rejecting_unknown_keys
 
 
 def load_config(path: str | Path | None = None) -> SystemConfig:

@@ -89,11 +89,13 @@ def _members(cfg: SystemConfig) -> tuple[bool, bool]:
     return cfg.mode != "ideal", cfg.mode != "real"
 
 
-def _hm_rate(cfg: SystemConfig, ch, rho_t: float) -> float:
+def hm_sinr(cfg: SystemConfig, ch, rho_t: float) -> float:
+    """Closed-form HM detection SINR of one realization at share cfg.p0,
+    as the sweeps and `validate`'s empirical-sinr check both use it."""
     lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
     delta = mmse_spectrum(lam_main, cfg.rho)
     terms = detection_power_terms(delta, lam_main, lam_idi)
-    return np.log2(1.0 + hm_detection_snr(terms, cfg.p0, rho_t))
+    return hm_detection_snr(terms, cfg.p0, rho_t)
 
 
 def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray:
@@ -124,9 +126,9 @@ def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray
     real, ideal = _members(cfg)
     row = np.full(_N_COLS, np.nan)
     if real:
-        row[0] = _hm_rate(cfg, hm, rho_t)
+        row[0] = np.log2(1.0 + hm_sinr(cfg, hm, rho_t))
     if ideal:
-        row[1] = _hm_rate(cfg, without_fractional_doppler(hm), rho_t)
+        row[1] = np.log2(1.0 + hm_sinr(cfg, without_fractional_doppler(hm), rho_t))
     row[2:] = assemble_rates(snr_hm_at_lm, snr_lm, cfg.lm_min_includes_hm_stage)
     return row
 

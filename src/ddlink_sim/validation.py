@@ -18,7 +18,7 @@ Six checks, each reduced to a single observed number against a bound:
   spectral-split   equalized full spectrum equals desired + leakage
   ratio-identities full-period subpath-ratio sum and energy identities
   truncation       retained subpath energy at the worst fractional offset
-  empirical-sinr   closed-form detection SNR against transmitted symbols
+  empirical-sinr   the sweeps' closed-form SINR against transmitted symbols
   worked-example   hand-checked flat-channel detection powers
 
 The suite is what the CLI `validate` subcommand runs; the library entry
@@ -41,8 +41,8 @@ from .channel import (
     subpath_ratios,
 )
 from .config import SystemConfig, db_to_linear, load_config
-from .equalizer import detection_power_terms, hm_detection_snr, mmse_spectrum
-from .simkit import derive_trial_seed
+from .equalizer import detection_power_terms, mmse_spectrum
+from .simkit import derive_trial_seed, hm_sinr
 
 # Reserved seed-point indices, far above any sweep-grid index, so the
 # validation draws never collide with simulation draws.
@@ -220,9 +220,8 @@ def empirical_hm_sinr(
     the known equalized signal component against the residual.  The LM
     users' independent white streams at shares summing to 1 - p0 add up
     to exactly one CN(0, 1 - p0) stream, so one stream stands for them.
-    The frames go through in blocks of `_FRAME_BLOCK`; the estimate is
-    over per-frame powers, with a delta-method standard error.  The
-    closed form `hm_detection_snr` should agree with the returned value
+    The frames go through in blocks of `_FRAME_BLOCK`.  The closed form
+    `simkit.hm_sinr` should agree with the returned `_ratio_estimate`
     up to the cross terms it neglects plus Monte Carlo noise.
     """
     nm = cfg.N * cfg.M
@@ -255,18 +254,23 @@ def empirical_hm_sinr(
         sig_power[start : start + n_block] = np.sum(np.abs(signal) ** 2, axis=0)
         res_power[start : start + n_block] = np.sum(np.abs(residual) ** 2, axis=0)
 
+    return _ratio_estimate(sig_power, res_power)
+
+
+def _ratio_estimate(sig_power: np.ndarray, res_power: np.ndarray) -> EmpiricalSinr:
+    """Ratio of the mean per-frame powers, with the delta-method stderr
+    value * sqrt(var(s/s_mean - r/r_mean) / n): no mean is squared, so it
+    is free of the powers' scale.  Zero signal gives (0, 0, n) before any
+    division; one frame gives a NaN stderr."""
+    n_frames = len(sig_power)
     s_mean, r_mean = sig_power.mean(), res_power.mean()
-    value = float(s_mean / r_mean)
     if s_mean == 0.0:
         return EmpiricalSinr(0.0, 0.0, n_frames)
+    value = float(s_mean / r_mean)
     if n_frames == 1:
         return EmpiricalSinr(value, float("nan"), n_frames)
-    # Delta method for the ratio of two correlated means.
-    s_var = sig_power.var(ddof=1) / n_frames
-    r_var = res_power.var(ddof=1) / n_frames
-    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
-    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
-    return EmpiricalSinr(value, float(value * np.sqrt(max(rel_var, 0.0))), n_frames)
+    rel_var = np.var(sig_power / s_mean - res_power / r_mean, ddof=1) / n_frames
+    return EmpiricalSinr(value, float(value * np.sqrt(rel_var)), n_frames)
 
 
 # === check results ===================================================
@@ -383,10 +387,7 @@ def check_empirical_sinr(cfg: SystemConfig) -> CheckResult:
     for r in range(_SINR_REALIZATIONS):
         rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _SEED_BASE + 3, r))
         hm = sample_hm_channel(sub, rng)
-        lam_main, lam_idi = hm_eigen_spectra(hm, sub.N, sub.M)
-        delta = mmse_spectrum(lam_main, sub.rho)
-        terms = detection_power_terms(delta, lam_main, lam_idi)
-        analytic = hm_detection_snr(terms, sub.p0, rho_t)
+        analytic = hm_sinr(sub, hm, rho_t)
         measured = empirical_hm_sinr(hm, sub, rho_t, rng)
         worst = max(worst, abs(measured.value - analytic) / analytic)
     detail = (

@@ -22,8 +22,10 @@ from ddlink_sim.equalizer import (
     mmse_spectrum,
 )
 from ddlink_sim.noma import allocate_power
+from ddlink_sim.simkit import hm_sinr
 from ddlink_sim.validation import (
     EmpiricalSinr,
+    _ratio_estimate,
     empirical_hm_sinr,
     full_spectrum,
     hm_channel_matrices,
@@ -288,6 +290,57 @@ def test_empirical_zero_power_is_zero():
     assert got.stderr == 0.0
 
 
+def test_empirical_zero_gain_is_zero():
+    # A dead channel: the equalizer, the signal and the residual are all
+    # zero, and the estimate returns before dividing by either power.
+    cfg = small_config(mode="real")
+    rng = np.random.default_rng(54)
+    got = empirical_hm_sinr(clean_single_path(cfg, gain=0.0), cfg, 10.0, rng, n_symbols=1000)
+    assert got == EmpiricalSinr(0.0, 0.0, int(np.ceil(1000 / (cfg.N * cfg.M))))
+
+
+@pytest.mark.parametrize("rho", [1e100, 1e150])
+def test_empirical_stderr_finite_at_huge_regularizer(rho):
+    # The per-frame powers scale as 1/rho^2, so the squares of their
+    # means underflow here; the estimate never forms them.
+    cfg = small_config(mode="real", rho=rho)
+    rng = np.random.default_rng(55)
+    ch = sample_hm_channel(cfg, rng)
+    got = empirical_hm_sinr(ch, cfg, 10.0, rng, n_symbols=2000)
+    assert np.isfinite(got.value) and got.value > 0.0
+    assert np.isfinite(got.stderr) and got.stderr > 0.0
+
+
+def correlated_powers(seed, n_frames=40):
+    """Positive per-frame powers of ordinary scale with a shared part."""
+    rng = np.random.default_rng(seed)
+    shared = rng.gamma(64.0, 1.0, n_frames)
+    return shared + rng.gamma(16.0, 1.0, n_frames), 0.3 * shared + rng.gamma(32.0, 1.0, n_frames)
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_ratio_estimate_matches_textbook_delta_method(seed):
+    sig_power, res_power = correlated_powers(seed)
+    n = len(sig_power)
+    s_mean, r_mean = sig_power.mean(), res_power.mean()
+    s_var = sig_power.var(ddof=1) / n
+    r_var = res_power.var(ddof=1) / n
+    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n
+    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
+    got = _ratio_estimate(sig_power, res_power)
+    assert got.n_frames == n
+    assert got.value == pytest.approx(s_mean / r_mean, rel=1e-12)
+    assert got.stderr == pytest.approx(s_mean / r_mean * np.sqrt(rel_var), rel=1e-12)
+
+
+def test_ratio_estimate_relative_stderr_is_scale_free():
+    sig_power, res_power = correlated_powers(104)
+    plain = _ratio_estimate(sig_power, res_power)
+    tiny = _ratio_estimate(1e-200 * sig_power, 1e-200 * res_power)
+    assert tiny.value == pytest.approx(plain.value, rel=1e-12)
+    assert tiny.stderr / tiny.value == pytest.approx(plain.stderr / plain.value, rel=1e-12)
+
+
 def test_empirical_frame_accounting():
     cfg = small_config(mode="real")
     rng = np.random.default_rng(53)
@@ -329,20 +382,6 @@ def test_empirical_matches_per_bin_power_model():
         assert got.value == pytest.approx(model, rel=0.03)
 
 
-def oracle_estimate(sig_power, res_power):
-    """Ratio of the mean per-frame powers, with its delta-method stderr."""
-    n_frames = len(sig_power)
-    s_mean, r_mean = sig_power.mean(), res_power.mean()
-    value = s_mean / r_mean
-    if n_frames == 1:
-        return EmpiricalSinr(value, float("nan"), n_frames)
-    s_var = sig_power.var(ddof=1) / n_frames
-    r_var = res_power.var(ddof=1) / n_frames
-    covar = np.cov(sig_power, res_power, ddof=1)[0, 1] / n_frames
-    rel_var = s_var / s_mean**2 + r_var / r_mean**2 - 2.0 * covar / (s_mean * r_mean)
-    return EmpiricalSinr(value, value * np.sqrt(max(rel_var, 0.0)), n_frames)
-
-
 def dense_equalizer(ch, cfg):
     nm = cfg.N * cfg.M
     h_main, _, h_full = hm_channel_matrices(ch, cfg.N, cfg.M)
@@ -375,7 +414,7 @@ def per_frame_oracle(ch, cfg, rho_t, rng, n_symbols):
         residual = equalized - signal
         sig_power[frame] = np.vdot(signal, signal).real
         res_power[frame] = np.vdot(residual, residual).real
-    return oracle_estimate(sig_power, res_power)
+    return _ratio_estimate(sig_power, res_power)
 
 
 def per_user_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
@@ -400,7 +439,7 @@ def per_user_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
         residual = equalized - signal
         sig_power[frame] = np.vdot(signal, signal).real
         res_power[frame] = np.vdot(residual, residual).real
-    return oracle_estimate(sig_power, res_power)
+    return _ratio_estimate(sig_power, res_power)
 
 
 @pytest.mark.parametrize("n_frames", [1, 16, 37])
@@ -442,9 +481,6 @@ def test_empirical_near_closed_form_on_average():
     rho_t = 10.0
     rng = np.random.default_rng(71)
     ch = sample_hm_channel(cfg, rng)
-    lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    delta = mmse_spectrum(lam_main, cfg.rho)
-    terms = detection_power_terms(delta, lam_main, lam_idi)
-    analytic = hm_detection_snr(terms, cfg.p0, rho_t)
+    analytic = hm_sinr(cfg, ch, rho_t)
     got = empirical_hm_sinr(ch, cfg, rho_t, rng, n_symbols=50_000)
     assert got.value == pytest.approx(analytic, rel=0.25)
