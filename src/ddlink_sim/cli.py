@@ -7,9 +7,11 @@ Subcommands
     outage     outage probability of the mobile user at thresholds 0.3/0.6
     validate   numerical self-check suite, nonzero exit on any failure
 
-Each sweep writes a CSV (one row per sweep point), a JSON summary with
-full per-point statistics, and a JSON manifest.  Re-running with
---config pointed at a manifest reproduces the CSV bitwise.
+A sweep command runs all its power shares in one `run_sweep` call and
+writes a CSV (one row per sweep point), a JSON summary with full
+per-point statistics, and a JSON manifest that also holds the run time.
+Re-running with --config pointed at a manifest reproduces the CSV
+bitwise.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error.
 """
@@ -148,8 +150,9 @@ def _write_manifest(
 
 
 def cmd_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    """Run the command's p0 shares in turn; write its CSV, summary and manifest."""
-    p0_values, thresholds, both_members, columns = _SWEEPS[args.command]
+    """Run every p0 share of the command in one sweep; write its CSV,
+    summary and manifest, the sweep's run time in the manifest only."""
+    shares, thresholds, both_members, columns = _SWEEPS[args.command]
     if both_members and cfg.mode != "both":
         raise ValidationError(
             f"{args.command} compares the Real and Ideal members and needs "
@@ -157,14 +160,9 @@ def cmd_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweeps = []
-    for p0 in p0_values or (cfg.p0,):
-        started = time.perf_counter()
-        sweeps.append(run_sweep(cfg.replace(p0=p0), workers=args.workers, thresholds=thresholds))
-        print(
-            f"p0={p0}: {len(cfg.rho_T_grid)} points x {cfg.trials} trials "
-            f"in {time.perf_counter() - started:.1f} s"
-        )
+    started = time.perf_counter()
+    sweeps = run_sweep(cfg, workers=args.workers, thresholds=thresholds, shares=shares)
+    timing = {"sweep": round(time.perf_counter() - started, 6)}
     rows = [
         [{**point, **estimate}[field] for _, field in columns]
         for sweep in sweeps
@@ -181,7 +179,7 @@ def cmd_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
         "sweeps": sweeps,
     }
     _write_json(out_dir / outputs[1], summary)
-    _write_manifest(out_dir, args.command, cfg, args.workers, outputs)
+    _write_manifest(out_dir, args.command, cfg, args.workers, outputs, timing)
     print(f"wrote {out_dir / outputs[0]}")
     return 0
 

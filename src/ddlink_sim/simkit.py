@@ -10,8 +10,8 @@ trial by trial.
 A trial is one array path from the draws to its record row: the LM
 stages of all U users are evaluated at once on the M delay bins and
 shared by both members.  A sweep maps one task list over every
-(point, chunk) pair, in process or on a pool, and reduces the rows of
-all points at once.
+(share, point, chunk) triple, in process or on one pool, and reduces
+the rows of all points of a share at once.
 """
 
 import os
@@ -208,25 +208,29 @@ def run_sweep(
     cfg: SystemConfig,
     workers: int = 1,
     thresholds=None,
-) -> dict:
-    """Run cfg.trials paired trials at every grid point.
+    shares=None,
+) -> list[dict]:
+    """Run cfg.trials paired trials at every grid point of every share.
 
-    Returns the summary's sweep entry {"p0", "thresholds", "points"}:
-    one plain dict per grid point with the STATS fields (None where
+    Returns the summary's sweeps list: one entry {"p0", "thresholds",
+    "points"} per HM power share in shares (default: cfg.p0 alone), with
+    one plain dict per grid point holding the STATS fields (None where
     cfg.mode lacks a member) and the outage estimates at the given
-    thresholds (default: cfg.R_th only).  The trials of all points form
-    one task list of chunks, run in this process at one worker and
-    otherwise on a pool of min(workers, tasks, CPUs) processes;
-    aggregation always reduces the per-trial records in trial order, so
-    the result is bitwise identical for any worker count.
+    thresholds (default: cfg.R_th only).  The trials of every (share,
+    point) pair form one task list of chunks, run in this process at one
+    worker and otherwise on one pool of min(workers, tasks, CPUs)
+    processes; aggregation always reduces the per-trial records in trial
+    order, so the result is bitwise identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     thresholds = (cfg.R_th,) if thresholds is None else tuple(float(t) for t in thresholds)
+    configs = [cfg] if shares is None else [cfg.replace(p0=p0) for p0 in shares]
     processes = min(workers, _usable_cpus())
     bounds = _chunk_bounds(cfg.trials, processes)
     tasks = [
-        (cfg, rho_t_db, index, start, stop)
+        (share_cfg, rho_t_db, index, start, stop)
+        for share_cfg in configs
         for index, rho_t_db in enumerate(cfg.rho_T_grid)
         for start, stop in bounds
     ]
@@ -239,9 +243,12 @@ def run_sweep(
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_point_rows, tasks))
-    rows = np.vstack(chunks).reshape(len(cfg.rho_T_grid), cfg.trials, _N_COLS)
-    return {
-        "p0": cfg.p0,
-        "thresholds": list(thresholds),
-        "points": _aggregate(cfg, rows, thresholds),
-    }
+    rows = np.vstack(chunks).reshape(len(configs), len(cfg.rho_T_grid), cfg.trials, _N_COLS)
+    return [
+        {
+            "p0": share_cfg.p0,
+            "thresholds": list(thresholds),
+            "points": _aggregate(share_cfg, share_rows, thresholds),
+        }
+        for share_cfg, share_rows in zip(configs, rows)
+    ]

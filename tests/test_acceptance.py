@@ -49,14 +49,14 @@ def sweep05():
     """Default-protocol paired sweep at p0 = 0.5, with outage thresholds."""
     cfg = SystemConfig(p0=0.5)
     started = time.perf_counter()
-    summary = run_sweep(cfg, workers=1, thresholds=(0.3, 0.5, 0.6))
+    (summary,) = run_sweep(cfg, workers=1, thresholds=(0.3, 0.5, 0.6))
     return summary, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def sweep08():
     cfg = SystemConfig(p0=0.8)
-    summary = run_sweep(cfg, workers=1, thresholds=(0.3, 0.5, 0.6))
+    (summary,) = run_sweep(cfg, workers=1, thresholds=(0.3, 0.5, 0.6))
     return summary
 
 
@@ -73,11 +73,9 @@ def high_snr_sweeps():
     not depend on the fractional-Doppler mode, so the single-member
     sweep halves the cost.
     """
-    out = {}
-    for p0 in (0.5, 0.8):
-        cfg = SystemConfig(p0=p0, mode="real", rho_T_grid=HIGH_SNR_GRID)
-        out[p0] = run_sweep(cfg, workers=1)
-    return out
+    cfg = SystemConfig(mode="real", rho_T_grid=HIGH_SNR_GRID)
+    shares = (0.5, 0.8)
+    return dict(zip(shares, run_sweep(cfg, workers=1, shares=shares)))
 
 
 def test_acceptance_1_gap_window_at_half_share(sweep05, capsys):

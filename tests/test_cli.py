@@ -423,7 +423,7 @@ def test_csv_values_round_trip_exactly(tmp_path):
     from ddlink_sim.simkit import run_sweep
 
     cfg = load_config(config_path).replace(p0=0.5)
-    expected = run_sweep(cfg, thresholds=None)["points"][0]
+    expected = run_sweep(cfg, thresholds=None)[0]["points"][0]
     rows = read_csv(out / "hm_sweep.csv")
     assert float(rows[1][2]) == expected["se_hm_real_mean"]
     assert float(rows[1][6]) == expected["gap_mean"]

@@ -1,12 +1,13 @@
 """Trial seeding, paired trials, outage estimation, and sweep aggregation."""
 
 import concurrent.futures
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ddlink_sim import simkit
+from ddlink_sim import cli, simkit
 from ddlink_sim.config import SystemConfig, ValidationError
 from ddlink_sim.simkit import (
     _N_COLS,
@@ -174,7 +175,7 @@ def test_trial_values_preserved(seed, db, real, ideal, hm_at_lm, lm, lm_min):
 
 def test_sweep_shape_and_thresholds():
     cfg = small_config(trials=10)
-    summary = run_sweep(cfg)
+    (summary,) = run_sweep(cfg)
     assert summary["p0"] == cfg.p0
     assert summary["thresholds"] == [cfg.R_th]
     assert len(summary["points"]) == len(cfg.rho_T_grid)
@@ -190,7 +191,7 @@ def test_sweep_shape_and_thresholds():
 
 def test_sweep_single_trial_degenerate_stats():
     cfg = small_config(trials=1, rho_T_grid=(10.0,))
-    point = run_sweep(cfg)["points"][0]
+    point = run_sweep(cfg)[0]["points"][0]
     assert point["se_hm_real_stderr"] == 0.0
     assert point["gap_stderr"] == 0.0
     assert point["outage"][0]["real"] in (0.0, 1.0)
@@ -201,7 +202,7 @@ def test_sweep_outage_threshold_is_strict():
     # 1 just above it.
     cfg = small_config(trials=1, rho_T_grid=(10.0,))
     rate = run_trial(cfg, 10.0, derive_trial_seed(cfg.master_seed, 0, 0))[REAL]
-    point = run_sweep(cfg, thresholds=(rate, math.nextafter(rate, math.inf)))["points"][0]
+    point = run_sweep(cfg, thresholds=(rate, math.nextafter(rate, math.inf)))[0]["points"][0]
     assert [o["real"] for o in point["outage"]] == [0.0, 1.0]
 
 
@@ -211,13 +212,13 @@ def test_sweep_outage_counts_rates_below_threshold():
     cfg = small_config(trials=8, rho_T_grid=(10.0,))
     rows = _point_rows((cfg, 10.0, 0, 0, 8))
     for member, column in (("real", REAL), ("ideal", IDEAL)):
-        point = run_sweep(cfg, thresholds=np.sort(rows[:, column]))["points"][0]
+        point = run_sweep(cfg, thresholds=np.sort(rows[:, column]))[0]["points"][0]
         assert [o[member] for o in point["outage"]] == [k / 8 for k in range(8)]
 
 
 def test_sweep_custom_thresholds():
     cfg = small_config(trials=8, rho_T_grid=(10.0,))
-    point = run_sweep(cfg, thresholds=(0.3, 0.6))["points"][0]
+    point = run_sweep(cfg, thresholds=(0.3, 0.6))[0]["points"][0]
     assert [o["r_th"] for o in point["outage"]] == [0.3, 0.6]
     assert point["outage"][1]["real"] >= point["outage"][0]["real"]
 
@@ -226,7 +227,7 @@ def test_outage_monotone_in_threshold():
     # Raising the threshold never lowers the outage of either member.
     cfg = small_config(trials=20, rho_T_grid=(10.0,))
     thresholds = np.linspace(0.0, 1.2, 25)
-    point = run_sweep(cfg, thresholds=thresholds)["points"][0]
+    point = run_sweep(cfg, thresholds=thresholds)[0]["points"][0]
     for member in ("real", "ideal"):
         fractions = [o[member] for o in point["outage"]]
         assert fractions == sorted(fractions)
@@ -235,7 +236,7 @@ def test_outage_monotone_in_threshold():
 
 def test_sweep_mode_real_drops_ideal_columns():
     cfg = small_config(trials=6, mode="real", rho_T_grid=(10.0,))
-    point = run_sweep(cfg)["points"][0]
+    point = run_sweep(cfg)[0]["points"][0]
     assert point["se_hm_real_mean"] is not None
     assert point["se_hm_ideal_mean"] is None
     assert point["gap_mean"] is None
@@ -297,14 +298,37 @@ def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
     assert RecordingPool.sizes == []
     # 2 points x 2 one-trial chunks: four tasks, however many workers.
     assert run_sweep(cfg, workers=500) == serial
+    # Every share's tasks join the one list: eight tasks, one pool.
+    assert len(run_sweep(cfg, workers=500, shares=(0.5, 0.8))) == 2
     # The affinity mask, not the host's CPU count, bounds the pool.
     monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 5, 9})
-    assert run_sweep(cfg.replace(trials=40), workers=500)["points"][0]["n_trials"] == 40
+    assert run_sweep(cfg.replace(trials=40), workers=500)[0]["points"][0]["n_trials"] == 40
     # Without an affinity call the host's CPU count does.
     monkeypatch.delattr(simkit.os, "sched_getaffinity")
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: 2)
-    assert run_sweep(cfg.replace(trials=40), workers=500)["points"][0]["n_trials"] == 40
-    assert RecordingPool.sizes == [4, 3, 2]
+    assert run_sweep(cfg.replace(trials=40), workers=500)[0]["points"][0]["n_trials"] == 40
+    assert RecordingPool.sizes == [4, 8, 3, 2]
+
+
+@pytest.mark.parametrize("command", ["hm-sweep", "lm-sweep"])
+def test_two_share_command_starts_one_pool(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 8, "M": 8, "N_p": 3, "U": 4, "trials": 4}))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "2"]
+    assert cli.main(argv) == 0
+    assert RecordingPool.sizes == [2]
+
+
+def test_sweep_over_shares_equals_one_sweep_per_share():
+    cfg = small_config(trials=7)
+    shares = (0.5, 0.8, 1.0)
+    expected = [run_sweep(cfg.replace(p0=p0), thresholds=(0.3, 0.6))[0] for p0 in shares]
+    assert [s["p0"] for s in expected] == list(shares)
+    assert run_sweep(cfg, thresholds=(0.3, 0.6), shares=shares) == expected
+    assert run_sweep(cfg, workers=2, thresholds=(0.3, 0.6), shares=shares) == expected
 
 
 def test_sweep_rejects_bad_workers():
