@@ -10,7 +10,7 @@ are imported from `channel`, `equalizer`, `noma` and `simkit`, and the
 dense reference they are checked against from `validation`.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .config import ConfigError, SystemConfig, config_from_dict, load_config
 from .simkit import run_sweep, run_trial

@@ -272,8 +272,10 @@ def lm_eigen_spectrum(lm: LMChannels, n_delay: int) -> np.ndarray:
 # === per-subcarrier gains ============================================
 
 
-def lm_subchannel_gains(lm: LMChannels, n_delay: int) -> np.ndarray:
+def lm_subchannel_gains(lam: np.ndarray) -> np.ndarray:
     """Beamformed frequency response of each LM user at its own
-    subcarrier (user u on subcarrier u - 1), shape (U,)."""
-    subcarrier = np.arange(lm.gain.shape[0])[:, None]
-    return (np.exp(2j * np.pi * lm.delay * subcarrier / n_delay) * lm.gain).sum(axis=1)
+    subcarrier, read off the (U, M) spectra of `lm_eigen_spectrum`:
+    user u sits on subcarrier u - 1, which is delay bin -(u - 1) mod M.
+    Shape (U,)."""
+    users = np.arange(lam.shape[0])
+    return lam[users, -users % lam.shape[1]]

@@ -117,9 +117,9 @@ def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray
     hm = sample_hm_channel(cfg, rng)
     lm = sample_lm_channel(cfg, rng)
 
-    gains = lm_subchannel_gains(lm, cfg.M)
-    shares = allocate_power(cfg.p0, gains)
     lam = lm_eigen_spectrum(lm, cfg.M)
+    gains = lm_subchannel_gains(lam)
+    shares = allocate_power(cfg.p0, gains)
     snr_hm_at_lm = hm_at_lm_snr(mmse_spectrum(lam, cfg.rho), lam, cfg.p0, rho_t)
     snr_lm = lm_detection_snr(shares[1:], rho_t, gains)
 

@@ -150,7 +150,7 @@ def test_lm_subchannel_power_is_normalized():
     draws = 25_000 // cfg.U
     for _ in range(draws):
         lm = sample_lm_channel(cfg, rng)
-        acc += float(np.sum(np.abs(lm_subchannel_gains(lm, cfg.M)) ** 2))
+        acc += float(np.sum(np.abs(lm_subchannel_gains(lm_eigen_spectrum(lm, cfg.M))) ** 2))
     mean_power = acc / (draws * cfg.U)
     assert 0.97 <= mean_power <= 1.03
 
@@ -273,18 +273,20 @@ def test_lm_spectrum_matches_dense_matrix():
 # === LM subchannel gains =============================================
 
 
-def same_channel_users(n_users, delay, gain):
+def same_channel_gains(n_users, delay, gain, n_delay):
+    """Own-subcarrier gains of n_users users that share one channel."""
     gain = np.asarray(gain, dtype=complex)
-    return LMChannels(np.tile(delay, (n_users, 1)), np.tile(gain, (n_users, 1)))
+    lm = LMChannels(np.tile(delay, (n_users, 1)), np.tile(gain, (n_users, 1)))
+    return lm_subchannel_gains(lm_eigen_spectrum(lm, n_delay))
 
 
 def test_lm_gain_single_path_is_flat():
-    gains = lm_subchannel_gains(same_channel_users(8, [0], [1.0]), 8)
+    gains = same_channel_gains(8, [0], [1.0], 8)
     assert np.abs(gains - 1.0).max() < 1e-12
 
 
 def test_lm_gain_two_path_comb():
-    gains = lm_subchannel_gains(same_channel_users(16, [0, 8], [1.0, 1.0]), 16)
+    gains = same_channel_gains(16, [0, 8], [1.0, 1.0], 16)
     for m in range(16):
         expected = 2.0 if m % 2 == 0 else 0.0
         assert abs(gains[m] - expected) < 1e-12
@@ -294,22 +296,23 @@ def test_lm_gain_periodic_in_subcarrier():
     cfg = small_config()
     lm = sample_lm_channel(cfg, np.random.default_rng(83))
     row = 2
-    gains = lm_subchannel_gains(same_channel_users(2 * cfg.M, lm.delay[row], lm.gain[row]), cfg.M)
+    gains = same_channel_gains(2 * cfg.M, lm.delay[row], lm.gain[row], cfg.M)
     assert np.abs(gains[: cfg.M] - gains[cfg.M :]).max() < 1e-12
 
 
 @pytest.mark.parametrize("changes", [{}, {"U": 16, "M": 16}], ids=["defaults", "U16-M16"])
 def test_lm_gain_is_spectrum_at_own_subcarrier(changes):
-    # User u's gain is its delay-bin spectrum at bin -(u - 1) mod M, so
-    # the gains can be read off lm_eigen_spectrum.
+    # The gains read off the spectrum equal user u's frequency response
+    # at subcarrier u - 1, evaluated here with its own kernel.
     cfg = SystemConfig(**changes)
     rng = np.random.default_rng(350)
-    users = np.arange(cfg.U)
+    subcarrier = np.arange(cfg.U)[:, None]
     for _ in range(200):
         lm = sample_lm_channel(cfg, rng)
-        gains = lm_subchannel_gains(lm, cfg.M)
-        at_own = lm_eigen_spectrum(lm, cfg.M)[users, -users % cfg.M]
-        assert np.all(np.abs(gains - at_own) <= 1e-12 * np.maximum(np.abs(gains), 1.0))
+        gains = lm_subchannel_gains(lm_eigen_spectrum(lm, cfg.M))
+        kernel = np.exp(2j * np.pi * lm.delay * subcarrier / cfg.M)
+        reference = (kernel * lm.gain).sum(axis=1)
+        assert np.all(np.abs(gains - reference) <= 1e-12 * np.maximum(np.abs(reference), 1.0))
 
 
 # === kernels against the forms they replaced =========================

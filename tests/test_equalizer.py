@@ -6,6 +6,7 @@ import pytest
 from ddlink_sim.channel import (
     HMChannelRealization,
     hm_eigen_spectra,
+    lm_eigen_spectrum,
     lm_subchannel_gains,
     sample_hm_channel,
     sample_lm_channel,
@@ -423,7 +424,8 @@ def per_user_oracle(ch, lm_channels, cfg, rho_t, rng, n_symbols):
     stream stands in for."""
     nm = cfg.N * cfg.M
     equalizer, signal_map, h_full = dense_equalizer(ch, cfg)
-    amp = np.sqrt(allocate_power(cfg.p0, lm_subchannel_gains(lm_channels, cfg.M)))
+    gains = lm_subchannel_gains(lm_eigen_spectrum(lm_channels, cfg.M))
+    amp = np.sqrt(allocate_power(cfg.p0, gains))
     sigma = np.sqrt(1.0 / rho_t)
     n_frames = max(1, int(np.ceil(n_symbols / nm)))
     sig_power = np.empty(n_frames)

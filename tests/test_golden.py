@@ -1,10 +1,13 @@
-"""Sweep outputs pinned byte for byte against files recorded at 0.4.0.
+"""Sweep outputs pinned byte for byte against recorded files.
 
-The files in tests/golden/ are the outputs of the runs below as version
-0.4.0 wrote them, with the summary's version line blanked.  Nine trials
-per point reach numpy's unrolled pairwise summation (eight partial sums
-from eight values up), so a reduction that sums in another order shows
-in the last bits.  Mode "real" pins the null fields of an absent member.
+The files in tests/golden/ are the outputs of the runs below, with the
+summary's version line blanked.  hm_sweep.csv and outage.csv are as
+version 0.4.0 wrote them.  lm_sweep.csv and the three summaries were
+recorded again at 0.12.0, when the LM gains began to be read off the LM
+spectrum: only the se_lm_* fields moved, by at most 1.33e-15 relative.
+Nine trials per point reach numpy's unrolled pairwise summation (eight
+partial sums from eight values up), so a reduction that sums in another
+order shows in the last bits.  Mode "real" pins the null fields of an absent member.
 """
 
 import json
