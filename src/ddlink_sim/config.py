@@ -1,6 +1,7 @@
 """Scenario configuration: validated parameters with simulation defaults."""
 
 import dataclasses
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -217,6 +218,12 @@ class SystemConfig:
         out = dataclasses.asdict(self)
         out["rho_T_grid"] = list(self.rho_T_grid)
         return out
+
+
+# inspect would read __new__'s (*args, **kwargs); show the fields instead.
+SystemConfig.__signature__ = inspect.Signature(
+    list(inspect.signature(SystemConfig.__init__).parameters.values())[1:]
+)
 
 
 def config_from_dict(raw: dict) -> SystemConfig:

@@ -1,6 +1,7 @@
 """Module layout: the trial path does not depend on the dense reference,
-importing the package loads no process-pool machinery, and README.md
-documents the config schema field for field.
+importing the package loads no process-pool machinery, README.md and
+the config's signature list the config schema field for field, and the
+test settings reject a mistyped marker.
 
 The import-graph checks parse the package's source files rather than
 import them, so a function-local import counts as much as a
@@ -9,6 +10,7 @@ module-level one.
 
 import ast
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -22,6 +24,7 @@ from ddlink_sim.config import SystemConfig
 
 PACKAGE_DIR = Path(ddlink_sim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 FAST_PATH = ("channel", "equalizer", "noma", "simkit")
 
 
@@ -89,3 +92,21 @@ def test_readme_config_table_lists_every_field_in_order():
     section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert documented == [field.name for field in dataclasses.fields(SystemConfig)]
+
+
+def test_config_signature_lists_every_field_in_order():
+    names = [field.name for field in dataclasses.fields(SystemConfig)]
+    assert list(inspect.signature(SystemConfig).parameters) == names
+
+
+def test_mistyped_marker_fails_collection(tmp_path):
+    # Without the warnings plugin, filterwarnings cannot turn the
+    # unknown-marker warning into an error: only strict_markers can.
+    test_file = tmp_path / "test_mistyped.py"
+    test_file.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n")
+    argv = ["-p", "no:warnings", "-p", "no:cacheprovider", "-c", str(PYPROJECT), str(test_file)]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == pytest.ExitCode.INTERRUPTED, done.stdout
+    assert "'slwo' not found in `markers`" in done.stdout
