@@ -269,13 +269,9 @@ def lm_eigen_spectrum(lm: LMChannels, n_delay: int) -> np.ndarray:
     return np.einsum("mup,up->um", phases, lm.gain)
 
 
-# === per-subcarrier gains ============================================
-
-
 def lm_subchannel_gains(lam: np.ndarray) -> np.ndarray:
-    """Beamformed frequency response of each LM user at its own
-    subcarrier, read off the (U, M) spectra of `lm_eigen_spectrum`:
-    user u sits on subcarrier u - 1, which is delay bin -(u - 1) mod M.
-    Shape (U,)."""
+    """Beamformed response of each LM user at its own subcarrier, shape
+    (U,): user u's spectrum lam[u - 1] at subcarrier u - 1, which is
+    delay bin -(u - 1) mod M."""
     users = np.arange(lam.shape[0])
     return lam[users, -users % lam.shape[1]]

@@ -9,9 +9,8 @@ Subcommands
 
 A sweep command runs all its power shares in one `run_sweep` call and
 writes a CSV (one row per sweep point), a JSON summary with full
-per-point statistics, and a JSON manifest that also holds the run time.
-Re-running with --config pointed at a manifest reproduces the CSV
-bitwise.
+per-point statistics, and a JSON manifest with the run time.  Re-running
+with --config pointed at a manifest reproduces the CSV bitwise.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error.
 """
@@ -38,7 +37,7 @@ def _columns(table, prefix: str = "") -> tuple:
 
 _POINT_COLUMNS = (("rho_t_db", "rho_t_db"), ("p0", "p0"))
 
-# Per sweep command: the p0 values (None: the config's own), the outage
+# Per sweep command: the p0 shares (None: the config's own p0), the outage
 # thresholds (None: the config's R_th), whether it compares the Real and
 # Ideal members, and the CSV columns as (header, summary field).  A CSV
 # row is one (grid point, outage threshold) pair; the two rate sweeps
@@ -150,8 +149,7 @@ def _write_manifest(
 
 
 def cmd_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    """Run every p0 share of the command in one sweep; write its CSV,
-    summary and manifest, the sweep's run time in the manifest only."""
+    """Run all the command's p0 shares in one sweep; write CSV, summary, manifest."""
     shares, thresholds, both_members, columns = _SWEEPS[args.command]
     if both_members and cfg.mode != "both":
         raise ValidationError(

@@ -204,12 +204,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(
-    cfg: SystemConfig,
-    workers: int = 1,
-    thresholds=None,
-    shares=None,
-) -> list[dict]:
+def run_sweep(cfg: SystemConfig, workers: int = 1, thresholds=None, shares=None) -> list[dict]:
     """Run cfg.trials paired trials at every grid point of every share.
 
     Returns the summary's sweeps list: one entry {"p0", "thresholds",
@@ -219,8 +214,8 @@ def run_sweep(
     thresholds (default: cfg.R_th only).  The trials of every (share,
     point) pair form one task list of chunks, run in this process at one
     worker and otherwise on one pool of min(workers, tasks, CPUs)
-    processes; aggregation always reduces the per-trial records in trial
-    order, so the result is bitwise identical for any worker count.
+    processes; aggregation reduces the records in trial order, so the
+    result is bitwise identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -229,8 +224,8 @@ def run_sweep(
     processes = min(workers, _usable_cpus())
     bounds = _chunk_bounds(cfg.trials, processes)
     tasks = [
-        (share_cfg, rho_t_db, index, start, stop)
-        for share_cfg in configs
+        (share, rho_t_db, index, start, stop)
+        for share in configs
         for index, rho_t_db in enumerate(cfg.rho_T_grid)
         for start, stop in bounds
     ]
@@ -245,10 +240,6 @@ def run_sweep(
             chunks = list(pool.map(_point_rows, tasks))
     rows = np.vstack(chunks).reshape(len(configs), len(cfg.rho_T_grid), cfg.trials, _N_COLS)
     return [
-        {
-            "p0": share_cfg.p0,
-            "thresholds": list(thresholds),
-            "points": _aggregate(share_cfg, share_rows, thresholds),
-        }
-        for share_cfg, share_rows in zip(configs, rows)
+        {"p0": share.p0, "thresholds": list(thresholds), "points": _aggregate(share, r, thresholds)}
+        for share, r in zip(configs, rows)
     ]
