@@ -95,7 +95,7 @@ def hm_sinr(cfg: SystemConfig, ch, rho_t: float) -> float:
     lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
     delta = mmse_spectrum(lam_main, cfg.rho)
     terms = detection_power_terms(delta, lam_main, lam_idi)
-    return hm_detection_snr(terms, cfg.p0, rho_t)
+    return float(hm_detection_snr(terms, cfg.p0, rho_t))
 
 
 def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray:

@@ -408,12 +408,12 @@ def check_worked_example() -> CheckResult:
     lam_main = np.full(bins, 2.0, dtype=complex)
     lam_idi = np.zeros(bins, dtype=complex)
     delta = mmse_spectrum(lam_main, 1.0)
-    terms = detection_power_terms(delta, lam_main, lam_idi)
+    desired, leakage, noise = detection_power_terms(delta, lam_main, lam_idi)
     worst = max(
         float(np.abs(delta - 0.4).max()),
-        abs(terms.desired - 0.64),
-        abs(terms.leakage),
-        abs(terms.noise - 0.16),
+        abs(desired - 0.64),
+        abs(leakage),
+        abs(noise - 0.16),
     )
     return _result("worked-example", worst, 1e-12, "<=", "flat channel, eigenvalue 2, rho 1")
 

@@ -15,7 +15,6 @@ from ddlink_sim.channel import (
 from ddlink_sim.config import SystemConfig
 from ddlink_sim.equalizer import (
     DegenerateSpectrum,
-    DetectionPowerTerms,
     detection_power_terms,
     hm_at_lm_snr,
     hm_detection_snr,
@@ -96,9 +95,7 @@ def test_flat_channel_delta_and_powers():
     # c = 2 per bin; with rho = 1 the coefficient is 2/(4+1) = 0.4.
     delta, terms = flat_setup()
     assert np.abs(delta - 0.4).max() < 1e-12
-    assert terms.desired == pytest.approx(0.64, abs=1e-12)
-    assert terms.leakage == pytest.approx(0.0, abs=1e-12)
-    assert terms.noise == pytest.approx(0.16, abs=1e-12)
+    assert terms == pytest.approx((0.64, 0.0, 0.16), abs=1e-12)
 
 
 def test_flat_channel_snr_values():
@@ -118,18 +115,38 @@ def test_snr_saturates_at_power_ratio():
 
 def test_degenerate_spectrum_raises():
     with pytest.raises(DegenerateSpectrum):
-        hm_detection_snr(DetectionPowerTerms(0.0, 0.0, 0.0), 0.5, 10.0)
+        hm_detection_snr((0.0, 0.0, 0.0), 0.5, 10.0)
     lam = np.ones((3, 8), dtype=complex)
     lam[1] = 0.0
     with pytest.raises(DegenerateSpectrum):
         hm_at_lm_snr(mmse_spectrum(lam, 1.0), lam, 0.5, 10.0)
 
 
+def test_stacked_realizations_match_hm_sinr_bitwise():
+    # The SINR is element-wise over any leading axis: a stack of
+    # realizations gives each one's own `hm_sinr`, bit for bit.
+    cfg = small_config()
+    rng = np.random.default_rng(23)
+    channels = [sample_hm_channel(cfg, rng) for _ in range(5)]
+    spectra = np.stack([hm_eigen_spectra(ch, cfg.N, cfg.M) for ch in channels])
+    lam_main, lam_idi = spectra[:, 0], spectra[:, 1]
+    delta = mmse_spectrum(lam_main, cfg.rho)
+    got = hm_detection_snr(detection_power_terms(delta, lam_main, lam_idi), cfg.p0, 10.0)
+    assert got.shape == (5,)
+    for snr, ch in zip(got, channels):
+        assert snr == hm_sinr(cfg, ch, 10.0)
+    lam_main = lam_main.copy()
+    lam_main[2] = 0.0
+    delta = mmse_spectrum(lam_main, cfg.rho)
+    with pytest.raises(DegenerateSpectrum):
+        hm_detection_snr(detection_power_terms(delta, lam_main, lam_idi), cfg.p0, 10.0)
+
+
 # === closed-form monotonicity ========================================
 
 
 def random_terms(rng):
-    return DetectionPowerTerms(
+    return (
         float(rng.uniform(0.05, 2.0)),
         float(rng.uniform(0.0, 1.0)),
         float(rng.uniform(0.01, 1.0)),
@@ -153,8 +170,9 @@ def test_snr_decreases_with_leakage():
         terms = random_terms(rng)
         p0 = rng.uniform(0.05, 0.95)
         rho_t = rng.uniform(0.1, 100.0)
-        clean = DetectionPowerTerms(terms.desired, 0.0, terms.noise)
-        with_leak = DetectionPowerTerms(terms.desired, terms.leakage + 0.01, terms.noise)
+        desired, leakage, noise = terms
+        clean = (desired, 0.0, noise)
+        with_leak = (desired, leakage + 0.01, noise)
         assert hm_detection_snr(clean, p0, rho_t) > hm_detection_snr(with_leak, p0, rho_t)
         assert hm_detection_snr(clean, p0, rho_t) >= hm_detection_snr(terms, p0, rho_t)
 
@@ -199,7 +217,7 @@ def test_reductions_equal_np_mean_bitwise():
         assert np.array_equal(hm_at_lm_snr(delta, lam, 0.5, 3.0), want)
         if len(shape) == 1:
             terms = detection_power_terms(delta, lam, idi)
-            assert terms == DetectionPowerTerms(
+            assert terms == (
                 float(np.mean(np.abs(delta * lam) ** 2)),
                 float(np.mean(np.abs(delta * idi) ** 2)),
                 float(np.mean(noise_gain)),
@@ -360,16 +378,16 @@ def per_bin_power_model(cfg, ch, rho_t):
     """
     lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
     delta = mmse_spectrum(lam_main, cfg.rho)
-    terms = detection_power_terms(delta, lam_main, lam_idi)
+    desired, leakage, noise = detection_power_terms(delta, lam_main, lam_idi)
     delta_e = delta * lam_main
     delta_f = delta * lam_idi
     cross = 2.0 * float(np.mean((delta_e * np.conj(delta_f)).real))
     denom = (
-        (1.0 - cfg.p0) * rho_t * (terms.desired + terms.leakage + cross)
-        + cfg.p0 * rho_t * terms.leakage
-        + terms.noise
+        (1.0 - cfg.p0) * rho_t * (desired + leakage + cross)
+        + cfg.p0 * rho_t * leakage
+        + noise
     )
-    return cfg.p0 * rho_t * terms.desired / denom
+    return cfg.p0 * rho_t * desired / denom
 
 
 def test_empirical_matches_per_bin_power_model():
