@@ -20,7 +20,7 @@ matrices; the dense builders they are checked against live in
 axis, so the LM spectra are evaluated on the M delay bins only.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -140,25 +140,21 @@ def uniform_weights(n_antennas: int) -> np.ndarray:
     return weights
 
 
-def _draw_delay_taps(n_paths: int, l_max: int, rng: np.random.Generator) -> np.ndarray:
-    """First tap at 0; the rest spread over [0, l_max], without
-    replacement whenever the range is large enough."""
-    taps = np.zeros(n_paths, dtype=np.int64)
-    if n_paths > 1:
-        replace_draws = l_max + 1 <= n_paths - 1
-        taps[1:] = rng.choice(l_max + 1, size=n_paths - 1, replace=replace_draws)
-    return taps
-
-
-def _beamformed_gains(n_paths: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-antenna gains, i.i.d. complex normal with variance 1/n_paths,
-    combined at once with the uniform transmit weights."""
+def _draw_paths(cfg: SystemConfig, rng: np.random.Generator, delay: np.ndarray, gain: np.ndarray):
+    """Draw n = len(gain) paths into delay and gain: the delay taps after a
+    zero first tap, spread over [0, l_max] without replacement whenever
+    the range is large enough, then per-antenna gains, i.i.d. complex
+    normal with variance 1/n, combined at once with the uniform weights."""
+    n = len(gain)
+    delay[0] = 0
+    if n > 1:
+        delay[1:] = rng.choice(cfg.l_max + 1, size=n - 1, replace=cfg.l_max + 1 <= n - 1)
     # One draw of both parts: normals come off the stream in order, so
-    # the real parts are the first n_paths*n_antennas of them.
-    scaled = np.sqrt(0.5 / n_paths) * rng.standard_normal((2, n_paths, n_antennas))
-    gains = np.empty((n_paths, n_antennas), dtype=complex)
-    gains.real, gains.imag = scaled
-    return gains @ uniform_weights(n_antennas)
+    # the real parts are the first n*A of them.
+    scaled = np.sqrt(0.5 / n) * rng.standard_normal((2, n, cfg.A))
+    per_antenna = np.empty((n, cfg.A), dtype=complex)
+    per_antenna.real, per_antenna.imag = scaled
+    gain[:] = per_antenna @ uniform_weights(cfg.A)
 
 
 def sample_hm_channel(cfg: SystemConfig, rng: np.random.Generator) -> HMChannelRealization:
@@ -166,17 +162,17 @@ def sample_hm_channel(cfg: SystemConfig, rng: np.random.Generator) -> HMChannelR
 
     Doppler taps are uniform over [-k_max, k_max], k_max the floor of
     the configured Doppler span, fractional offsets uniform over
-    (-1/2, 1/2], delay taps per `_draw_delay_taps`, and per-antenna
-    gains i.i.d. complex normal with variance 1/L_0 so the average path
-    powers sum to one.  Draw order is fixed: Doppler taps,
-    offsets, delays, then gains.
+    (-1/2, 1/2], then delay taps and gains per `_draw_paths`, with
+    variance 1/L_0 so the average path powers sum to one.  Draw order is
+    fixed: Doppler taps, offsets, delays, then gains.
     """
     k_max = int(np.floor(cfg.doppler_span))
     doppler = rng.integers(-k_max, k_max + 1, size=cfg.L_0)
     kappa = 0.5 - rng.random(cfg.L_0)  # maps [0, 1) onto (-1/2, 1/2]
-    delays = _draw_delay_taps(cfg.L_0, cfg.l_max, rng)
-    gain = _beamformed_gains(cfg.L_0, cfg.A, rng)
-    return HMChannelRealization(doppler, delays, kappa, gain, cfg.N_p)
+    delay = np.empty(cfg.L_0, dtype=np.int64)
+    gain = np.empty(cfg.L_0, dtype=complex)
+    _draw_paths(cfg, rng, delay, gain)
+    return HMChannelRealization(doppler, delay, kappa, gain, cfg.N_p)
 
 
 def sample_lm_channel(cfg: SystemConfig, rng: np.random.Generator) -> LMChannels:
@@ -192,8 +188,7 @@ def sample_lm_channel(cfg: SystemConfig, rng: np.random.Generator) -> LMChannels
     gain = np.zeros(shape, dtype=complex)
     for row in range(cfg.U):
         n_paths = int(rng.integers(LM_PATH_RANGE[0], LM_PATH_RANGE[1] + 1))
-        delay[row, :n_paths] = _draw_delay_taps(n_paths, cfg.l_max, rng)
-        gain[row, :n_paths] = _beamformed_gains(n_paths, cfg.A, rng)
+        _draw_paths(cfg, rng, delay[row, :n_paths], gain[row, :n_paths])
     return LMChannels(delay, gain)
 
 
@@ -203,7 +198,8 @@ def without_fractional_doppler(ch: HMChannelRealization) -> HMChannelRealization
     Same taps and gains; only the offsets change, so comparing against
     the original isolates the cost of fractional Doppler.
     """
-    return replace(ch, kappa=np.zeros_like(ch.kappa))
+    zero = np.zeros_like(ch.kappa)
+    return HMChannelRealization(ch.doppler, ch.delay, zero, ch.gain, ch.subpath_halfwidth)
 
 
 # === fast eigen spectra ==============================================

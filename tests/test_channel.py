@@ -6,9 +6,9 @@ import pytest
 from ddlink_sim.channel import (
     HMChannelRealization,
     LMChannels,
-    _beamformed_gains,
     _dft_phase_table,
     _doppler_responses,
+    _draw_paths,
     _tap_phase,
     hm_eigen_spectra,
     lm_eigen_spectrum,
@@ -140,6 +140,42 @@ def test_lm_sampling_path_count_range():
         assert np.all(lm.delay[~live] == 0)
         counts.update(live.sum(axis=1).tolist())
     assert counts == {1, 2, 3, 4}
+
+
+def reference_path_set(cfg, rng, n):
+    """(delay, gain) of one path set, drawn in the documented order."""
+    delay = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        delay[1:] = rng.choice(cfg.l_max + 1, size=n - 1, replace=cfg.l_max + 1 <= n - 1)
+    parts = np.sqrt(0.5 / n) * rng.standard_normal((2, n, cfg.A))
+    return delay, (parts[0] + 1j * parts[1]) @ uniform_weights(cfg.A)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{}, {"U": 16, "M": 16}, {"l_max": 1}, {"A": 1}],
+    ids=["defaults", "U16-M16", "l_max1", "A1"],
+)
+def test_samplers_follow_documented_draw_order(changes):
+    # l_max = 1 draws with replacement for path sets of 3 or more paths.
+    cfg = SystemConfig(**changes)
+    k_max = int(np.floor(cfg.doppler_span))
+    for seed in range(20):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        hm = sample_hm_channel(cfg, rng)
+        assert np.array_equal(hm.doppler, rng_ref.integers(-k_max, k_max + 1, size=cfg.L_0))
+        assert np.array_equal(hm.kappa, 0.5 - rng_ref.random(cfg.L_0))
+        delay, gain = reference_path_set(cfg, rng_ref, cfg.L_0)
+        assert np.array_equal(hm.delay, delay) and np.array_equal(hm.gain, gain)
+
+        lm = sample_lm_channel(cfg, rng)
+        for row in range(cfg.U):
+            n = int(rng_ref.integers(1, 5))
+            delay, gain = reference_path_set(cfg, rng_ref, n)
+            assert np.array_equal(lm.delay[row, :n], delay)
+            assert np.array_equal(lm.gain[row, :n], gain)
+            assert not lm.delay[row, n:].any() and not lm.gain[row, n:].any()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_lm_subchannel_power_is_normalized():
@@ -389,9 +425,17 @@ def test_ratio_of_scalars_is_zero_dimensional(q, kappa):
 
 @pytest.mark.parametrize("n_paths, n_antennas", [(1, 1), (3, 4), (10, 4)])
 def test_gains_equal_two_draw_form_bitwise(n_paths, n_antennas):
+    cfg = SystemConfig(A=n_antennas)
     rng, rng_ref = np.random.default_rng(320), np.random.default_rng(320)
     for _ in range(10):
-        got = _beamformed_gains(n_paths, n_antennas, rng)
+        delay = np.empty(n_paths, dtype=np.int64)
+        got = np.empty(n_paths, dtype=complex)
+        _draw_paths(cfg, rng, delay, got)
+        taps = np.zeros(n_paths, dtype=np.int64)
+        if n_paths > 1:
+            replace = cfg.l_max + 1 <= n_paths - 1
+            taps[1:] = rng_ref.choice(cfg.l_max + 1, size=n_paths - 1, replace=replace)
+        assert np.array_equal(delay, taps)
         scale = np.sqrt(0.5 / n_paths)
         shape = (n_paths, n_antennas)
         per_antenna = scale * (rng_ref.standard_normal(shape) + 1j * rng_ref.standard_normal(shape))

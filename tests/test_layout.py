@@ -1,7 +1,8 @@
 """Module layout: the trial path does not depend on the dense reference,
 importing the package loads no process-pool machinery, README.md and
-the config's signature list the config schema field for field, and the
-test settings reject a mistyped marker.
+the config's signature list the config schema field for field, the
+test settings reject a mistyped marker, and the in-process A/B tool
+runs.
 
 The import-graph checks parse the package's source files rather than
 import them, so a function-local import counts as much as a
@@ -25,6 +26,7 @@ from ddlink_sim.config import SystemConfig
 PACKAGE_DIR = Path(ddlink_sim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
+TRIAL_AB = README.parent / "tools" / "trial_ab.py"
 FAST_PATH = ("channel", "equalizer", "noma", "simkit")
 
 
@@ -110,3 +112,17 @@ def test_mistyped_marker_fails_collection(tmp_path):
     )
     assert done.returncode == pytest.ExitCode.INTERRUPTED, done.stdout
     assert "'slwo' not found in `markers`" in done.stdout
+
+
+def test_trial_ab_against_itself_finds_no_differing_row():
+    root = str(README.parent)
+    done = subprocess.run(
+        [sys.executable, str(TRIAL_AB), root, root, "--reps", "2", "--trials", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["paper-hm-sweep", "lm-crowd", "big-frame-outage"]
+    assert all(": 0 of 4 rows differ;" in line for line in lines), done.stdout
