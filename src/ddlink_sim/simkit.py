@@ -7,11 +7,13 @@ members of a trial share all channel draws; only the fractional Doppler
 offsets differ (forced to zero for Ideal), which pairs the comparison
 trial by trial.
 
-A trial is one array path from the draws to its record row: the LM
+A trial is drawn once (draw_trial) and evaluated per HM power share
+(run_trial), one array path from the draws to a record row: the LM
 stages of all U users are evaluated at once on the M delay bins and
 shared by both members.  A sweep maps one task list over every
-(share, point, chunk) triple, in process or on one pool, and reduces
-the rows of all points of a share at once.
+(point, chunk) pair, in process or on one pool; each task evaluates
+every share on the same draws, and the rows of all points of a share
+are reduced at once.
 """
 
 import os
@@ -98,24 +100,34 @@ def hm_sinr(cfg: SystemConfig, ch, rho_t: float) -> float:
     return float(hm_detection_snr(terms, cfg.p0, rho_t))
 
 
-def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray:
-    """Simulate one paired trial at one transmit-SNR point.
+def draw_trial(cfg: SystemConfig, trial_seed: int) -> tuple:
+    """The (HM, LM) channel draws of one trial.
+
+    Draw order is fixed (HM channel, then LM users 1..U), so a seed
+    fully determines the realization.  No draw depends on cfg.p0 or the
+    transmit SNR, so one draw serves every share and grid point it is
+    evaluated at.
+    """
+    rng = np.random.default_rng(trial_seed)
+    hm = sample_hm_channel(cfg, rng)
+    return hm, sample_lm_channel(cfg, rng)
+
+
+def run_trial(cfg: SystemConfig, rho_t_db: float, channels: tuple) -> np.ndarray:
+    """Evaluate one paired trial, drawn by draw_trial, at share cfg.p0
+    and one transmit-SNR point.
 
     Returns the record row of spectral efficiencies in b/s/Hz, the
     columns of STATS without the gap: the HM rate of the Real and the
     Ideal member, the mean and minimum over users of both LM-side
     stages, and the worst user's limiting rate (the weaker stage per
     user, or the LM stage alone when cfg.lm_min_includes_hm_stage is
-    False).  A member not requested by cfg.mode is NaN.  Draw order is
-    fixed (HM channel, then LM users 1..U) so a seed fully determines
-    the realization.  The LM-side stages carry no fractional Doppler,
-    hence one evaluation serves both members.
+    False).  A member not requested by cfg.mode is NaN.  The LM-side
+    stages carry no fractional Doppler, hence one evaluation serves both
+    members.
     """
-    rng = np.random.default_rng(trial_seed)
+    hm, lm = channels
     rho_t = db_to_linear(rho_t_db)
-
-    hm = sample_hm_channel(cfg, rng)
-    lm = sample_lm_channel(cfg, rng)
 
     lam = lm_eigen_spectrum(lm, cfg.M)
     gains = lm_subchannel_gains(lam)
@@ -137,12 +149,16 @@ def run_trial(cfg: SystemConfig, rho_t_db: float, trial_seed: int) -> np.ndarray
 
 
 def _point_rows(task) -> np.ndarray:
-    """Record rows of trials start..stop-1 of one sweep point."""
-    cfg, rho_t_db, point_index, start, stop = task
-    rows = np.empty((stop - start, _N_COLS))
+    """Record rows of trials start..stop-1 of one sweep point at every
+    share, shape (shares, trials, _N_COLS).  The shares differ only in
+    p0, so each trial is drawn once and evaluated at each of them."""
+    configs, rho_t_db, point_index, start, stop = task
+    first = configs[0]
+    rows = np.empty((len(configs), stop - start, _N_COLS))
     for offset, trial in enumerate(range(start, stop)):
-        seed = derive_trial_seed(cfg.master_seed, point_index, trial)
-        rows[offset] = run_trial(cfg, rho_t_db, seed)
+        channels = draw_trial(first, derive_trial_seed(first.master_seed, point_index, trial))
+        for k, cfg in enumerate(configs):
+            rows[k, offset] = run_trial(cfg, rho_t_db, channels)
     return rows
 
 
@@ -211,11 +227,12 @@ def run_sweep(cfg: SystemConfig, workers: int = 1, thresholds=None, shares=None)
     "points"} per HM power share in shares (default: cfg.p0 alone), with
     one plain dict per grid point holding the STATS fields (None where
     cfg.mode lacks a member) and the outage estimates at the given
-    thresholds (default: cfg.R_th only).  The trials of every (share,
-    point) pair form one task list of chunks, run in this process at one
-    worker and otherwise on one pool of min(workers, tasks, CPUs)
-    processes; aggregation reduces the records in trial order, so the
-    result is bitwise identical for any worker count.
+    thresholds (default: cfg.R_th only).  The trials of every point form
+    one task list of chunks, each task drawing its trials once for all
+    shares, run in this process at one worker and otherwise on one pool
+    of min(workers, tasks, CPUs) processes; aggregation reduces the
+    records in trial order, so the result is bitwise identical for any
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -224,8 +241,7 @@ def run_sweep(cfg: SystemConfig, workers: int = 1, thresholds=None, shares=None)
     processes = min(workers, _usable_cpus())
     bounds = _chunk_bounds(cfg.trials, processes)
     tasks = [
-        (share, rho_t_db, index, start, stop)
-        for share in configs
+        (configs, rho_t_db, index, start, stop)
         for index, rho_t_db in enumerate(cfg.rho_T_grid)
         for start, stop in bounds
     ]
@@ -238,7 +254,8 @@ def run_sweep(cfg: SystemConfig, workers: int = 1, thresholds=None, shares=None)
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_point_rows, tasks))
-    rows = np.vstack(chunks).reshape(len(configs), len(cfg.rho_T_grid), cfg.trials, _N_COLS)
+    shape = (len(configs), len(cfg.rho_T_grid), cfg.trials, _N_COLS)
+    rows = np.concatenate(chunks, axis=1).reshape(shape)
     return [
         {"p0": share.p0, "thresholds": list(thresholds), "points": _aggregate(share, r, thresholds)}
         for share, r in zip(configs, rows)

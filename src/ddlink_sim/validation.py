@@ -377,10 +377,13 @@ def check_ratio_identities(cfg: SystemConfig) -> CheckResult:
     return _result("ratio-identities", worst, 1e-12, "<=", detail)
 
 
-def check_truncation_energy() -> CheckResult:
-    """Energy kept by the q in [-5, 5] window at the worst offset 0.5."""
-    energy = sum(abs(complex(r)) ** 2 for r in subpath_ratios(np.arange(-5, 6), 0.5, 16))
-    return _result("truncation", energy, 0.95, ">=", "window |q| <= 5, kappa 0.5, N 16")
+def check_truncation_energy(cfg: SystemConfig) -> CheckResult:
+    """Energy kept by the configured q in [-N_p, N_p] window at the
+    worst offset 0.5."""
+    window = np.arange(-cfg.N_p, cfg.N_p + 1)
+    energy = sum(abs(complex(r)) ** 2 for r in subpath_ratios(window, 0.5, cfg.N))
+    detail = f"window |q| <= {cfg.N_p}, kappa 0.5, N {cfg.N}"
+    return _result("truncation", energy, 0.95, ">=", detail)
 
 
 def check_empirical_sinr(cfg: SystemConfig) -> CheckResult:
@@ -434,7 +437,7 @@ def run_validation(cfg: SystemConfig | None = None, report=None) -> list[CheckRe
         lambda: check_dense_vs_fast(cfg),
         lambda: check_spectral_split(cfg),
         lambda: check_ratio_identities(cfg),
-        check_truncation_energy,
+        lambda: check_truncation_energy(cfg),
         lambda: check_empirical_sinr(cfg),
         check_worked_example,
     ):

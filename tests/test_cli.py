@@ -497,7 +497,7 @@ def test_validate_report_serializes_real_check_results(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
         "run_validation",
-        lambda cfg, report: [check_truncation_energy(), check_worked_example()],
+        lambda cfg, report: [check_truncation_energy(cfg), check_worked_example()],
     )
     config_path = write_config(tmp_path, SMALL)
     out = tmp_path / "report"
@@ -506,6 +506,25 @@ def test_validate_report_serializes_real_check_results(tmp_path, monkeypatch):
     names = [check["name"] for check in payload["checks"]]
     assert names == ["truncation", "worked-example"]
     assert all(check["passed"] is True for check in payload["checks"])
+
+
+@pytest.mark.parametrize("n_p, passes", [(0, False), (1, False), (2, False), (3, True)])
+def test_validate_checks_the_configured_truncation_window(
+    tmp_path, capsys, monkeypatch, n_p, passes
+):
+    # At N = 16 and the worst offset 0.5 the window |q| <= N_p keeps 0.41,
+    # 0.86, 0.92 and 0.951 of a path's energy.  dense-vs-fast and
+    # empirical-sinr, nearly all of a run's time, do not read the window
+    # and are stood in for, so the exit code follows the truncation.
+    for name in ("check_dense_vs_fast", "check_empirical_sinr"):
+        monkeypatch.setattr(validation, name, lambda cfg, name=name: passing_check(name))
+    config_path = write_config(tmp_path, {"N_p": n_p})
+    code = cli.main(["validate", "--config", str(config_path)])
+    out = capsys.readouterr().out
+    assert code == (0 if passes else 1)
+    status = "[ok  ]" if passes else "[FAIL]"
+    assert f"{status} truncation: " in out
+    assert f"window |q| <= {n_p}, kappa 0.5, N 16" in out
 
 
 def test_dense_vs_fast_reports_a_matrix_that_is_not_block_circulant(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from ddlink_sim.config import SystemConfig
 from ddlink_sim.noma import ZeroGain, allocate_power, assemble_rates
-from ddlink_sim.simkit import run_trial
+from ddlink_sim.simkit import draw_trial, run_trial
 
 
 # === power allocation ================================================
@@ -108,7 +108,8 @@ def test_assemble_single_user_takes_weaker_stage():
     cfg = small_config(U=1, p0=0.8)
     weaker = set()
     for seed in range(40):
-        _, _, hm_at_lm_mean, hm_at_lm_min, lm_mean, lm_min, worst = run_trial(cfg, 10.0, seed)
+        row = run_trial(cfg, 10.0, draw_trial(cfg, seed))
+        _, _, hm_at_lm_mean, hm_at_lm_min, lm_mean, lm_min, worst = row
         assert hm_at_lm_mean == hm_at_lm_min
         assert lm_mean == lm_min
         assert worst == min(hm_at_lm_min, lm_min)
@@ -122,7 +123,8 @@ def test_assemble_min_bounds_every_stage():
     # its minimum over users is the smaller of the two stage minima.
     for u, seed in ((4, 4), (8, 5)):
         for rho_t_db in (0.0, 10.0, 30.0):
-            _, _, _, hm_at_lm_min, _, lm_min, worst = run_trial(small_config(U=u), rho_t_db, seed)
+            cfg = small_config(U=u)
+            _, _, _, hm_at_lm_min, _, lm_min, worst = run_trial(cfg, rho_t_db, draw_trial(cfg, seed))
             assert worst <= hm_at_lm_min
             assert worst <= lm_min
             assert worst == min(hm_at_lm_min, lm_min)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddlink_sim import cli, simkit
+from ddlink_sim.channel import subpath_ratios, without_fractional_doppler
 from ddlink_sim.config import SystemConfig, ValidationError
 from ddlink_sim.simkit import (
     _N_COLS,
@@ -15,6 +16,7 @@ from ddlink_sim.simkit import (
     _point_rows,
     db_to_linear,
     derive_trial_seed,
+    draw_trial,
     run_sweep,
     run_trial,
 )
@@ -69,8 +71,8 @@ def test_db_to_linear():
 
 def test_trial_deterministic():
     cfg = small_config()
-    a = run_trial(cfg, 10.0, 12345)
-    b = run_trial(cfg, 10.0, 12345)
+    a = run_trial(cfg, 10.0, draw_trial(cfg, 12345))
+    b = run_trial(cfg, 10.0, draw_trial(cfg, 12345))
     assert a.shape == (_N_COLS,)
     assert np.array_equal(a, b)
 
@@ -78,32 +80,36 @@ def test_trial_deterministic():
 def test_trial_lm_side_shared_between_members():
     # The LM stages carry no fractional Doppler, so they must not depend
     # on which members the trial simulates, bit for bit.
-    rows = [run_trial(small_config(mode=mode), 10.0, 999) for mode in ("both", "real", "ideal")]
+    channels = draw_trial(small_config(), 999)
+    rows = [run_trial(small_config(mode=mode), 10.0, channels) for mode in ("both", "real", "ideal")]
     for row in rows[1:]:
         assert np.array_equal(row[HM_AT_LM_MEAN:], rows[0][HM_AT_LM_MEAN:])
 
 
 def test_trial_mode_selects_members():
-    real_only = run_trial(small_config(mode="real"), 10.0, 5)
+    channels = draw_trial(small_config(), 5)
+    real_only = run_trial(small_config(mode="real"), 10.0, channels)
     assert np.isfinite(real_only[REAL]) and np.isnan(real_only[IDEAL])
-    ideal_only = run_trial(small_config(mode="ideal"), 10.0, 5)
+    ideal_only = run_trial(small_config(mode="ideal"), 10.0, channels)
     assert np.isnan(ideal_only[REAL]) and np.isfinite(ideal_only[IDEAL])
-    assert np.isfinite(run_trial(small_config(), 10.0, 5)).all()
+    assert np.isfinite(run_trial(small_config(), 10.0, channels)).all()
 
 
 def test_trial_result_requires_a_member():
     # Every accepted mode simulates at least one HM member; no other
     # mode is accepted.
+    channels = draw_trial(small_config(), 6)
     for mode in ("both", "real", "ideal"):
-        row = run_trial(small_config(mode=mode), 10.0, 6)
+        row = run_trial(small_config(mode=mode), 10.0, channels)
         assert np.isfinite(row[[REAL, IDEAL]]).any()
     with pytest.raises(ValidationError, match="mode"):
         small_config(mode="neither")
 
 
 def test_trial_worst_stage_without_hm_stage_is_lm_min():
+    cfg = small_config(lm_min_includes_hm_stage=False)
     for seed in range(5):
-        row = run_trial(small_config(lm_min_includes_hm_stage=False), 30.0, seed)
+        row = run_trial(cfg, 30.0, draw_trial(cfg, seed))
         assert row[LM_WORST_STAGE] == row[LM_MIN]
 
 
@@ -111,12 +117,32 @@ def test_ideal_beats_real_on_average():
     cfg = small_config()
     diffs = []
     for trial in range(300):
-        row = run_trial(cfg, 10.0, derive_trial_seed(7, 0, trial))
+        row = run_trial(cfg, 10.0, draw_trial(cfg, derive_trial_seed(7, 0, trial)))
         diffs.append(row[IDEAL] - row[REAL])
     diffs = np.asarray(diffs)
     # Removing the Doppler leakage can only help; the mean improvement
     # should clear zero by many standard errors.
     assert diffs.mean() > 5.0 * diffs.std(ddof=1) / np.sqrt(diffs.size)
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1.0, 50.0])
+@pytest.mark.parametrize("p0", [0.5, 0.8])
+def test_single_path_hm_sinr_closed_form(rho, p0):
+    # At L_0 = 1 the spectra have flat magnitudes |g|^2 r^2 (main) and a
+    # mean leakage energy |g|^2 l (Parseval), so the MMSE regularizer
+    # cancels: rho does not enter the SINR.
+    cfg = small_config(L_0=1, rho=rho, p0=p0)
+    qs = np.arange(-cfg.N_p, cfg.N_p + 1)
+    for trial in range(20):
+        hm, _ = draw_trial(cfg, derive_trial_seed(cfg.master_seed, 0, trial))
+        for ch in (hm, without_fractional_doppler(hm)):
+            x = abs(ch.gain[0]) ** 2
+            energy = np.abs(subpath_ratios(qs, ch.kappa[0], cfg.N)) ** 2
+            r2, leak = energy[cfg.N_p], np.delete(energy, cfg.N_p).sum()
+            for db in (0.0, 10.0, 20.0):
+                rho_t = db_to_linear(db)
+                expected = p0 * rho_t * x * r2 / (rho_t * x * ((1.0 - p0) * r2 + leak) + 1.0)
+                assert simkit.hm_sinr(cfg, ch, rho_t) == pytest.approx(expected, rel=1e-12)
 
 
 # Outputs of run_trial at the default config, recorded at version 0.1.0
@@ -167,7 +193,8 @@ PRESERVED_TRIALS = [
 def test_trial_values_preserved(seed, db, real, ideal, hm_at_lm, lm, lm_min):
     hm_at_lm, lm = np.array(hm_at_lm), np.array(lm)
     expected = [real, ideal, hm_at_lm.mean(), hm_at_lm.min(), lm.mean(), lm.min(), lm_min]
-    assert run_trial(SystemConfig(), db, seed) == pytest.approx(expected, rel=1e-12)
+    cfg = SystemConfig()
+    assert run_trial(cfg, db, draw_trial(cfg, seed)) == pytest.approx(expected, rel=1e-12)
 
 
 # === sweeps ==========================================================
@@ -201,7 +228,7 @@ def test_sweep_outage_threshold_is_strict():
     # At one trial the outage is 0 at exactly the trial's Real rate and
     # 1 just above it.
     cfg = small_config(trials=1, rho_T_grid=(10.0,))
-    rate = run_trial(cfg, 10.0, derive_trial_seed(cfg.master_seed, 0, 0))[REAL]
+    rate = run_trial(cfg, 10.0, draw_trial(cfg, derive_trial_seed(cfg.master_seed, 0, 0)))[REAL]
     point = run_sweep(cfg, thresholds=(rate, math.nextafter(rate, math.inf)))[0]["points"][0]
     assert [o["real"] for o in point["outage"]] == [0.0, 1.0]
 
@@ -210,7 +237,7 @@ def test_sweep_outage_counts_rates_below_threshold():
     # With a threshold at each sorted rate, exactly the k smaller trials
     # are in outage at the k-th.
     cfg = small_config(trials=8, rho_T_grid=(10.0,))
-    rows = _point_rows((cfg, 10.0, 0, 0, 8))
+    (rows,) = _point_rows(([cfg], 10.0, 0, 0, 8))
     for member, column in (("real", REAL), ("ideal", IDEAL)):
         point = run_sweep(cfg, thresholds=np.sort(rows[:, column]))[0]["points"][0]
         assert [o[member] for o in point["outage"]] == [k / 8 for k in range(8)]
@@ -248,7 +275,7 @@ def test_aggregate_keeps_a_real_nan():
     # Absence follows cfg.mode; a NaN rate stays NaN instead of turning
     # into an absent (None) statistic.
     cfg = small_config(trials=3, rho_T_grid=(10.0,))
-    rows = _point_rows((cfg, 10.0, 0, 0, 3))
+    (rows,) = _point_rows(([cfg], 10.0, 0, 0, 3))
     rows[1, REAL] = np.nan
     point = simkit._aggregate(cfg, rows[None], (0.5,))[0]
     assert math.isnan(point["se_hm_real_mean"]) and math.isnan(point["gap_mean"])
@@ -264,9 +291,9 @@ def test_sweep_worker_counts_agree_bitwise():
 
 def test_point_rows_independent_of_chunking():
     cfg = small_config()
-    whole = _point_rows((cfg, 10.0, 1, 0, 13))
+    whole = _point_rows(([cfg], 10.0, 1, 0, 13))[0]
     for cuts in ((0, 13), (0, 1, 13), (0, 5, 6, 13), tuple(range(14))):
-        parts = [_point_rows((cfg, 10.0, 1, a, b)) for a, b in zip(cuts, cuts[1:])]
+        parts = [_point_rows(([cfg], 10.0, 1, a, b))[0] for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.vstack(parts), whole)
 
 
@@ -298,7 +325,7 @@ def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
     assert RecordingPool.sizes == []
     # 2 points x 2 one-trial chunks: four tasks, however many workers.
     assert run_sweep(cfg, workers=500) == serial
-    # Every share's tasks join the one list: eight tasks, one pool.
+    # Every task carries every share: still four tasks, one pool.
     assert len(run_sweep(cfg, workers=500, shares=(0.5, 0.8))) == 2
     # The affinity mask, not the host's CPU count, bounds the pool.
     monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 5, 9})
@@ -307,7 +334,7 @@ def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
     monkeypatch.delattr(simkit.os, "sched_getaffinity")
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: 2)
     assert run_sweep(cfg.replace(trials=40), workers=500)[0]["points"][0]["n_trials"] == 40
-    assert RecordingPool.sizes == [4, 8, 3, 2]
+    assert RecordingPool.sizes == [4, 4, 3, 2]
 
 
 @pytest.mark.parametrize("command", ["hm-sweep", "lm-sweep"])
@@ -329,6 +356,26 @@ def test_sweep_over_shares_equals_one_sweep_per_share():
     assert [s["p0"] for s in expected] == list(shares)
     assert run_sweep(cfg, thresholds=(0.3, 0.6), shares=shares) == expected
     assert run_sweep(cfg, workers=2, thresholds=(0.3, 0.6), shares=shares) == expected
+
+
+def test_sweep_draws_each_trial_once_for_every_share(monkeypatch):
+    # The shares differ only in p0, so one draw per (point, trial)
+    # serves them all.
+    calls = {"hm": 0, "lm": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(simkit, "sample_hm_channel", counted("hm", simkit.sample_hm_channel))
+    monkeypatch.setattr(simkit, "sample_lm_channel", counted("lm", simkit.sample_lm_channel))
+    cfg = small_config(trials=5)
+    assert len(run_sweep(cfg, shares=(0.5, 0.8))) == 2
+    draws = len(cfg.rho_T_grid) * cfg.trials
+    assert calls == {"hm": draws, "lm": draws}
 
 
 def test_sweep_rejects_bad_workers():
