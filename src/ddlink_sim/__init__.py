@@ -13,7 +13,7 @@ dense reference they are checked against from `validation`.
 __version__ = "0.14.0"
 
 from .config import ConfigError, SystemConfig, config_from_dict, load_config
-from .simkit import run_sweep, run_trial
+from .simkit import run_sweep
 from .validation import run_validation
 
 __all__ = [
@@ -23,6 +23,5 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "run_sweep",
-    "run_trial",
     "run_validation",
 ]

@@ -104,9 +104,9 @@ def draw_trial(cfg: SystemConfig, trial_seed: int) -> tuple:
     """The (HM, LM) channel draws of one trial.
 
     Draw order is fixed (HM channel, then LM users 1..U), so a seed
-    fully determines the realization.  No draw depends on cfg.p0 or the
-    transmit SNR, so one draw serves every share and grid point it is
-    evaluated at.
+    fully determines the realization.  No draw depends on cfg.p0, so
+    one draw serves every share evaluated at its (point, trial); each
+    grid point has trial seeds of its own.
     """
     rng = np.random.default_rng(trial_seed)
     hm = sample_hm_channel(cfg, rng)

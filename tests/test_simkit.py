@@ -80,8 +80,8 @@ def test_trial_deterministic():
 def test_trial_lm_side_shared_between_members():
     # The LM stages carry no fractional Doppler, so they must not depend
     # on which members the trial simulates, bit for bit.
-    channels = draw_trial(small_config(), 999)
-    rows = [run_trial(small_config(mode=mode), 10.0, channels) for mode in ("both", "real", "ideal")]
+    configs = [small_config(mode=mode) for mode in ("both", "real", "ideal")]
+    rows = [run_trial(cfg, 10.0, draw_trial(cfg, 999)) for cfg in configs]
     for row in rows[1:]:
         assert np.array_equal(row[HM_AT_LM_MEAN:], rows[0][HM_AT_LM_MEAN:])
 
