@@ -214,13 +214,23 @@ def _dft_phase_table(n: int) -> np.ndarray:
     return table
 
 
-def _doppler_responses(ch: HMChannelRealization, n_doppler: int) -> tuple[np.ndarray, np.ndarray]:
-    """Doppler-shift eigenvalues (N, L_0, Q) of every subpath and the
-    leakage ratios (L_0, Q), subpath offsets q = -N_p..N_p along Q."""
-    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
-    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)
-    resp = _dft_phase_table(n_doppler)[:, (ch.doppler[:, None] - qs) % n_doppler]
-    return resp, ratios
+@lru_cache(maxsize=8)
+def _subpath_phase_table(n: int, halfwidth: int) -> np.ndarray:
+    # t[m, j] = w[m, -q] for q = j - halfwidth: the Doppler response of
+    # a shift by -q, which factors out of every subpath response as
+    # w[m, k - q] = w[m, k] * w[m, -q]; read-only.
+    table = _dft_phase_table(n)[:, -np.arange(-halfwidth, halfwidth + 1) % n]
+    table.setflags(write=False)
+    return table
+
+
+def _doppler_image(ch: HMChannelRealization, ratios: np.ndarray, n_doppler: int, out=None):
+    """Doppler responses (N, L_0) of the paths' subpaths q = -N_p..N_p
+    summed with the weights ratios (L_0, Q): each path's shift w[:, k]
+    times the subpath sum, so no (N, L_0, Q) response is formed."""
+    shift = _dft_phase_table(n_doppler)[:, ch.doppler % n_doppler]
+    sums = _subpath_phase_table(n_doppler, ch.subpath_halfwidth) @ ratios.T
+    return np.multiply(shift, sums, out=out)
 
 
 def _path_sum(ch: HMChannelRealization, dopp: np.ndarray, n_delay: int) -> np.ndarray:
@@ -245,14 +255,17 @@ def hm_eigen_spectra(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> 
 
     Row 0 is the q = 0 subpath image, row 1 the truncated q != 0 leakage.
     """
-    resp, ratios = _doppler_responses(ch, n_doppler)
+    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)
     q0 = ch.subpath_halfwidth
-    leak = ratios.copy()
-    leak[:, q0] = 0.0
-    main = resp[:, :, q0] * ratios[:, q0]
-    idi = np.einsum("nlq,lq->nl", resp, leak)
-    # One product for both images: their path weights are the same.
-    return _path_sum(ch, np.stack((main, idi)), n_delay)
+    # Both images in one array, for one path-sum product: their path
+    # weights are the same.
+    images = np.empty((2, n_doppler, len(ratios)), dtype=complex)
+    shift = _dft_phase_table(n_doppler)[:, ch.doppler % n_doppler]
+    np.multiply(shift, ratios[:, q0], out=images[0])
+    ratios[:, q0] = 0.0
+    _doppler_image(ch, ratios, n_doppler, out=images[1])
+    return _path_sum(ch, images, n_delay)
 
 
 def lm_eigen_spectrum(lm: LMChannels, n_delay: int) -> np.ndarray:

@@ -30,11 +30,11 @@ from .channel import (
 )
 from .config import SystemConfig, db_to_linear
 from .equalizer import (
+    bin_energy,
     detection_power_terms,
     hm_at_lm_snr,
     hm_detection_snr,
     lm_detection_snr,
-    mmse_spectrum,
 )
 from .noma import allocate_power, assemble_rates
 
@@ -93,10 +93,9 @@ def _members(cfg: SystemConfig) -> tuple[bool, bool]:
 
 def hm_sinr(cfg: SystemConfig, ch, rho_t: float) -> float:
     """Closed-form HM detection SINR of one realization at share cfg.p0,
-    as the sweeps and `validate`'s empirical-sinr check both use it."""
-    lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
-    delta = mmse_spectrum(lam_main, cfg.rho)
-    terms = detection_power_terms(delta, lam_main, lam_idi)
+    as the sweeps and `validate`'s empirical-sinr check both use it:
+    the spectra's energies, the MMSE power terms, the SINR."""
+    terms = detection_power_terms(bin_energy(hm_eigen_spectra(ch, cfg.N, cfg.M)), cfg.rho)
     return float(hm_detection_snr(terms, cfg.p0, rho_t))
 
 
@@ -132,7 +131,7 @@ def run_trial(cfg: SystemConfig, rho_t_db: float, channels: tuple) -> np.ndarray
     lam = lm_eigen_spectrum(lm, cfg.M)
     gains = lm_subchannel_gains(lam)
     shares = allocate_power(cfg.p0, gains)
-    snr_hm_at_lm = hm_at_lm_snr(mmse_spectrum(lam, cfg.rho), lam, cfg.p0, rho_t)
+    snr_hm_at_lm = hm_at_lm_snr(bin_energy(lam), cfg.rho, cfg.p0, rho_t)
     snr_lm = lm_detection_snr(shares[1:], rho_t, gains)
 
     real, ideal = _members(cfg)
@@ -204,10 +203,12 @@ def _aggregate(cfg: SystemConfig, rows: np.ndarray, thresholds: tuple) -> list[d
     ]
 
 
-def _chunk_bounds(n_trials: int, workers: int) -> list[tuple[int, int]]:
-    # A few chunks per worker evens out the load; chunking never affects
+def _chunk_bounds(n_trials: int, processes: int, points: int) -> list[tuple[int, int]]:
+    # A few tasks per process over the whole sweep even out the load
+    # without paying the pool's per-task cost more often than that, so
+    # each of the points gets its share of them; chunking never affects
     # values because each trial is seeded independently.
-    n_chunks = min(n_trials, max(1, workers * 4))
+    n_chunks = min(n_trials, -(-4 * processes // points))
     edges = np.linspace(0, n_trials, n_chunks + 1, dtype=int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
@@ -230,7 +231,9 @@ def run_sweep(cfg: SystemConfig, workers: int = 1, thresholds=None, shares=None)
     thresholds (default: cfg.R_th only).  The trials of every point form
     one task list of chunks, each task drawing its trials once for all
     shares, run in this process at one worker and otherwise on one pool
-    of min(workers, tasks, CPUs) processes; aggregation reduces the
+    of min(workers, tasks, CPUs) processes.  The sweep as a whole gets
+    about four tasks per process, so a point gets one chunk or a few,
+    never more than its trials.  Aggregation reduces the
     records in trial order, so the result is bitwise identical for any
     worker count.
     """
@@ -239,7 +242,7 @@ def run_sweep(cfg: SystemConfig, workers: int = 1, thresholds=None, shares=None)
     thresholds = (cfg.R_th,) if thresholds is None else tuple(float(t) for t in thresholds)
     configs = [cfg] if shares is None else [cfg.replace(p0=p0) for p0 in shares]
     processes = min(workers, _usable_cpus())
-    bounds = _chunk_bounds(cfg.trials, processes)
+    bounds = _chunk_bounds(cfg.trials, processes, len(cfg.rho_T_grid))
     tasks = [
         (configs, rho_t_db, index, start, stop)
         for index, rho_t_db in enumerate(cfg.rho_T_grid)

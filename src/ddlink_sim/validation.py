@@ -33,7 +33,7 @@ import numpy as np
 from .channel import (
     HMChannelRealization,
     LMChannels,
-    _doppler_responses,
+    _doppler_image,
     _path_sum,
     _tap_phase,
     hm_eigen_spectra,
@@ -41,7 +41,7 @@ from .channel import (
     subpath_ratios,
 )
 from .config import SystemConfig, db_to_linear, load_config
-from .equalizer import detection_power_terms, mmse_spectrum
+from .equalizer import bin_energy, detection_power_terms, mmse_spectrum
 from .simkit import derive_trial_seed, hm_sinr
 
 # Reserved seed-point indices, far above any sweep-grid index, so the
@@ -322,8 +322,9 @@ def _sized_config(cfg: SystemConfig, n: int) -> SystemConfig:
 def full_spectrum(ch: HMChannelRealization, n_doppler: int, n_delay: int) -> np.ndarray:
     """Spectrum of the whole truncated channel, every subpath summed at
     once rather than split into its main and leakage parts."""
-    resp, ratios = _doppler_responses(ch, n_doppler)
-    return _path_sum(ch, np.einsum("nlq,lq->nl", resp, ratios), n_delay)
+    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)
+    return _path_sum(ch, _doppler_image(ch, ratios, n_doppler), n_delay)
 
 
 def check_dense_vs_fast(cfg: SystemConfig) -> CheckResult:
@@ -373,7 +374,10 @@ def check_ratio_identities(cfg: SystemConfig) -> CheckResult:
         ratios = subpath_ratios(np.arange(n), kappas[:, None], n)  # (offsets, n)
         worst = max(worst, float(np.abs(ratios.sum(axis=1) - 1.0).max()))
         worst = max(worst, float(np.abs((np.abs(ratios) ** 2).sum(axis=1) - 1.0).max()))
-    detail = f"max identity error, {_RATIO_OFFSETS} offsets per grid size in (8, 16, 32)"
+    detail = (
+        f"max identity error, {_RATIO_OFFSETS} offsets per grid size in (8, 16, 32); "
+        "an identity: the configured N and N_p do not enter"
+    )
     return _result("ratio-identities", worst, 1e-12, "<=", detail)
 
 
@@ -409,20 +413,22 @@ def check_worked_example() -> CheckResult:
 
     Four unit-gain antennas at uniform weight combine to the eigenvalue
     2 on every bin, so delta = 2/5, desired energy (4/5)^2 = 0.64 and
-    noise energy (2/5)^2 = 0.16.
+    noise energy (2/5)^2 = 0.16.  The complex equalizer and the energy
+    kernel of the sweeps are both checked.
     """
     bins = 256
-    lam_main = np.full(bins, 2.0, dtype=complex)
-    lam_idi = np.zeros(bins, dtype=complex)
-    delta = mmse_spectrum(lam_main, 1.0)
-    desired, leakage, noise = detection_power_terms(delta, lam_main, lam_idi)
+    spectra = np.zeros((2, bins), dtype=complex)
+    spectra[0] = 2.0
+    delta = mmse_spectrum(spectra[0], 1.0)
+    desired, leakage, noise = detection_power_terms(bin_energy(spectra), 1.0)
     worst = max(
         float(np.abs(delta - 0.4).max()),
         abs(desired - 0.64),
         abs(leakage),
         abs(noise - 0.16),
     )
-    return _result("worked-example", worst, 1e-12, "<=", "flat channel, eigenvalue 2, rho 1")
+    detail = "flat channel, eigenvalue 2, rho 1; an identity: takes no config"
+    return _result("worked-example", worst, 1e-12, "<=", detail)
 
 
 # === suite ===========================================================

@@ -7,7 +7,7 @@ from ddlink_sim.channel import (
     HMChannelRealization,
     LMChannels,
     _dft_phase_table,
-    _doppler_responses,
+    _doppler_image,
     _draw_paths,
     _tap_phase,
     hm_eigen_spectra,
@@ -375,20 +375,39 @@ def masked_ratios(qs, kappa, n_doppler):
 
 
 def per_image_spectra(ch, n_doppler, n_delay):
-    """`hm_eigen_spectra` with one path-sum product per image."""
+    """`hm_eigen_spectra` with one path-sum product per image; each
+    path's Doppler shift is factored out of its subpath responses."""
 
     def path_sum(dopp):
         weight = ch.gain * _tap_phase(ch.doppler, ch.kappa, ch.delay, n_doppler, n_delay)
         delay_resp = _dft_phase_table(n_delay)[:, ch.delay % n_delay]
         return ((delay_resp * weight) @ dopp.T).reshape(n_delay * n_doppler)
 
-    resp, ratios = _doppler_responses(ch, n_doppler)
+    qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+    ratios = subpath_ratios(qs, ch.kappa[:, None], n_doppler)
     q0 = ch.subpath_halfwidth
     leak = ratios.copy()
     leak[:, q0] = 0.0
-    main = resp[:, :, q0] * ratios[:, q0]
-    idi = np.einsum("nlq,lq->nl", resp, leak)
+    table = _dft_phase_table(n_doppler)
+    shift = table[:, ch.doppler % n_doppler]
+    main = shift * ratios[:, q0]
+    idi = shift * (table[:, -qs % n_doppler] @ leak.T)
     return path_sum(main), path_sum(idi)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_factored_doppler_image_matches_gathered_responses(n):
+    # w[:, k - q] = w[:, k] * w[:, -q]: the factored image equals the sum
+    # of the gathered (N, L_0, Q) subpath responses up to rounding.
+    cfg = SystemConfig(N=n, M=n, N_p=min(5, (n - 1) // 2), l_max=min(4, n - 1), U=min(8, n))
+    rng = np.random.default_rng(320 + n)
+    for _ in range(20):
+        ch = sample_hm_channel(cfg, rng)
+        qs = np.arange(-ch.subpath_halfwidth, ch.subpath_halfwidth + 1)
+        ratios = subpath_ratios(qs, ch.kappa[:, None], n)
+        resp = _dft_phase_table(n)[:, (ch.doppler[:, None] - qs) % n]
+        gathered = np.einsum("nlq,lq->nl", resp, ratios)
+        assert np.abs(_doppler_image(ch, ratios, n) - gathered).max() <= 1e-14 * n
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64])

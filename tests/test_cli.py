@@ -540,10 +540,10 @@ def test_dense_vs_fast_reports_a_matrix_that_is_not_block_circulant(monkeypatch)
 def test_validate_observed_values_at_defaults():
     observed = {check.name: check for check in run_validation(SystemConfig())}
     assert [name for name, check in observed.items() if not check.passed] == ["empirical-sinr"]
-    assert observed["spectral-split"].observed == 4.622027700290073e-16
+    assert observed["spectral-split"].observed == 5.094901452383371e-16
     assert observed["ratio-identities"].observed == 4.095858920016109e-14
     assert observed["truncation"].observed == 0.9785580402795427
-    assert observed["worked-example"].observed == 3.3306690738754696e-16
+    assert observed["worked-example"].observed == 0.0
     assert observed["dense-vs-fast"].observed <= 1e-13
     # The closed form drops the desired-leakage cross term; ROADMAP item 2
     # adds it and re-records this value.

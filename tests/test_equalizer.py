@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddlink_sim.channel import (
     HMChannelRealization,
@@ -15,6 +18,7 @@ from ddlink_sim.channel import (
 from ddlink_sim.config import SystemConfig
 from ddlink_sim.equalizer import (
     DegenerateSpectrum,
+    bin_energy,
     detection_power_terms,
     hm_at_lm_snr,
     hm_detection_snr,
@@ -48,7 +52,7 @@ def flat_setup(n_bins=64, level=2.0, rho=1.0):
     lam_main = np.full(n_bins, level, dtype=complex)
     lam_idi = np.zeros(n_bins, dtype=complex)
     delta = mmse_spectrum(lam_main, rho)
-    terms = detection_power_terms(delta, lam_main, lam_idi)
+    terms = detection_power_terms(bin_energy(np.stack((lam_main, lam_idi))), rho)
     return delta, terms
 
 
@@ -119,7 +123,7 @@ def test_degenerate_spectrum_raises():
     lam = np.ones((3, 8), dtype=complex)
     lam[1] = 0.0
     with pytest.raises(DegenerateSpectrum):
-        hm_at_lm_snr(mmse_spectrum(lam, 1.0), lam, 0.5, 10.0)
+        hm_at_lm_snr(bin_energy(lam), 1.0, 0.5, 10.0)
 
 
 def test_stacked_realizations_match_hm_sinr_bitwise():
@@ -129,17 +133,15 @@ def test_stacked_realizations_match_hm_sinr_bitwise():
     rng = np.random.default_rng(23)
     channels = [sample_hm_channel(cfg, rng) for _ in range(5)]
     spectra = np.stack([hm_eigen_spectra(ch, cfg.N, cfg.M) for ch in channels])
-    lam_main, lam_idi = spectra[:, 0], spectra[:, 1]
-    delta = mmse_spectrum(lam_main, cfg.rho)
-    got = hm_detection_snr(detection_power_terms(delta, lam_main, lam_idi), cfg.p0, 10.0)
+    energy = bin_energy(spectra).swapaxes(0, 1)  # (main, idi) stacks of (5, N*M)
+    got = hm_detection_snr(detection_power_terms(energy, cfg.rho), cfg.p0, 10.0)
     assert got.shape == (5,)
     for snr, ch in zip(got, channels):
         assert snr == hm_sinr(cfg, ch, 10.0)
-    lam_main = lam_main.copy()
-    lam_main[2] = 0.0
-    delta = mmse_spectrum(lam_main, cfg.rho)
+    energy = energy.copy()
+    energy[0, 2] = 0.0
     with pytest.raises(DegenerateSpectrum):
-        hm_detection_snr(detection_power_terms(delta, lam_main, lam_idi), cfg.p0, 10.0)
+        hm_detection_snr(detection_power_terms(energy, cfg.rho), cfg.p0, 10.0)
 
 
 # === closed-form monotonicity ========================================
@@ -184,10 +186,9 @@ def test_hm_at_lm_flat_values():
     # Forward energy 0.64 and noise energy 0.16 on the flat channel, so
     # at p0 = 1 the SNR is rho_t * 0.64 / 0.16 and at p0 = 0.5 it is
     # 3.2 / (3.2 + 0.16).
-    delta, _ = flat_setup()
-    lam = np.full(64, 2.0, dtype=complex)
-    assert hm_at_lm_snr(delta, lam, 1.0, 10.0) == pytest.approx(10.0 * 0.64 / 0.16, rel=1e-12)
-    assert hm_at_lm_snr(delta, lam, 0.5, 10.0) == pytest.approx(3.2 / 3.36, rel=1e-12)
+    energy = bin_energy(np.full(64, 2.0, dtype=complex))
+    assert hm_at_lm_snr(energy, 1.0, 1.0, 10.0) == pytest.approx(10.0 * 0.64 / 0.16, rel=1e-12)
+    assert hm_at_lm_snr(energy, 1.0, 0.5, 10.0) == pytest.approx(3.2 / 3.36, rel=1e-12)
 
 
 def test_hm_at_lm_full_power_has_no_interference_term():
@@ -195,7 +196,7 @@ def test_hm_at_lm_full_power_has_no_interference_term():
     rng = np.random.default_rng(31)
     lam = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
     delta = mmse_spectrum(lam, 1.0)
-    got = hm_at_lm_snr(delta, lam, 1.0, 7.0)
+    got = hm_at_lm_snr(bin_energy(lam), 1.0, 1.0, 7.0)
     assert got.shape == (3,)
     for user in range(3):
         forward = float(np.mean(np.abs(delta[user]) ** 2 * np.abs(lam[user]) ** 2))
@@ -210,28 +211,88 @@ def test_reductions_equal_np_mean_bitwise():
     for shape in ((256,), (8, 16), (16, 64)):
         lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         idi = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        delta = mmse_spectrum(lam, 1.0)
-        noise_gain = np.abs(delta) ** 2
-        forward = np.mean(noise_gain * np.abs(lam) ** 2, axis=-1)
+        a, b = bin_energy(lam), bin_energy(idi)
+        noise_gain = a / (a + 1.0) / (a + 1.0)
+        forward = np.mean(a * noise_gain, axis=-1)
         want = 0.5 * 3.0 * forward / (0.5 * 3.0 * forward + np.mean(noise_gain, axis=-1))
-        assert np.array_equal(hm_at_lm_snr(delta, lam, 0.5, 3.0), want)
-        if len(shape) == 1:
-            terms = detection_power_terms(delta, lam, idi)
-            assert terms == (
-                float(np.mean(np.abs(delta * lam) ** 2)),
-                float(np.mean(np.abs(delta * idi) ** 2)),
-                float(np.mean(noise_gain)),
-            )
+        assert np.array_equal(hm_at_lm_snr(a, 1.0, 0.5, 3.0), want)
+        terms = detection_power_terms((a, b), 1.0)
+        want_terms = (forward, np.mean(b * noise_gain, axis=-1), np.mean(noise_gain, axis=-1))
+        for got, want in zip(terms, want_terms):
+            assert np.array_equal(got, want)
+
+
+# === energy kernel against the complex equalizer =====================
+
+
+def complex_route_terms(lam_main, lam_idi, rho):
+    """The power terms through the complex equalizer: delta from
+    `mmse_spectrum`, then the means of |delta*lambda|^2 and |delta|^2."""
+    delta = mmse_spectrum(lam_main, rho)
+    return (
+        np.mean(np.abs(delta * lam_main) ** 2, axis=-1),
+        np.mean(np.abs(delta * lam_idi) ** 2, axis=-1),
+        np.mean(np.abs(delta) ** 2, axis=-1),
+    )
+
+
+# Real and imaginary parts of the main and leakage spectra: exact zeros
+# or magnitudes over six decades, either sign.
+_parts = st.integers(1, 64).flatmap(
+    lambda n_bins: arrays(
+        float,
+        (2, 2, n_bins),
+        elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(parts=_parts, rho=st.floats(1e-6, 1e6))
+def test_energy_kernel_matches_complex_route(parts, rho):
+    lam_main, lam_idi = parts[:, 0] + 1j * parts[:, 1]
+    got = detection_power_terms(bin_energy(np.stack((lam_main, lam_idi))), rho)
+    for value, want in zip(got, complex_route_terms(lam_main, lam_idi, rho)):
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_dead_bin_at_tiny_regularizer_is_not_nan():
+    # (a + rho)^2 underflows to 0 at rho 1e-300, so a = 0 would give
+    # 0/0 in one division; two divisions give |delta|^2 = 0 there.
+    lam = np.array([0.0, 1.0, 0.5j, 0.0])
+    desired, leakage, noise = detection_power_terms(bin_energy(np.stack((lam, lam))), 1e-300)
+    assert np.isfinite([desired, leakage, noise]).all()
+    assert desired == pytest.approx(0.5, rel=1e-15)
+    assert noise == pytest.approx((1.0 + 4.0) / 4.0, rel=1e-15)
+    assert np.isfinite(hm_detection_snr((desired, leakage, noise), 0.5, 10.0))
+    assert np.isfinite(hm_at_lm_snr(bin_energy(lam), 1e-300, 0.5, 10.0))
+
+
+def test_all_zero_spectrum_raises():
+    energy = np.zeros((2, 16))
+    terms = detection_power_terms(energy, 1e-300)
+    assert terms == (0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateSpectrum):
+        hm_detection_snr(terms, 0.5, 10.0)
+    with pytest.raises(DegenerateSpectrum):
+        hm_at_lm_snr(energy, 1.0, 0.5, 10.0)
+
+
+def test_power_terms_reject_bad_regularizer():
+    energy = np.ones((2, 4))
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="regularizer"):
+            detection_power_terms(energy, rho)
 
 
 def test_hm_at_lm_monotone_in_p0():
     rng = np.random.default_rng(32)
     for _ in range(100):
         lam = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-        delta = mmse_spectrum(lam, 1.0)
+        energy = bin_energy(lam)
         rho_t = rng.uniform(0.5, 50.0)
-        lo = hm_at_lm_snr(delta, lam, 0.4, rho_t)
-        hi = hm_at_lm_snr(delta, lam, 0.6, rho_t)
+        lo = hm_at_lm_snr(energy, 1.0, 0.4, rho_t)
+        hi = hm_at_lm_snr(energy, 1.0, 0.6, rho_t)
         assert hi > lo
 
 
@@ -376,9 +437,10 @@ def per_bin_power_model(cfg, ch, rho_t):
     and leakage branches that the closed form drops, so it tracks the
     symbol-level measurement for any realization.
     """
-    lam_main, lam_idi = hm_eigen_spectra(ch, cfg.N, cfg.M)
+    spectra = hm_eigen_spectra(ch, cfg.N, cfg.M)
+    lam_main, lam_idi = spectra
     delta = mmse_spectrum(lam_main, cfg.rho)
-    desired, leakage, noise = detection_power_terms(delta, lam_main, lam_idi)
+    desired, leakage, noise = detection_power_terms(bin_energy(spectra), cfg.rho)
     delta_e = delta * lam_main
     delta_f = delta * lam_idi
     cross = 2.0 * float(np.mean((delta_e * np.conj(delta_f)).real))

@@ -5,6 +5,11 @@ summary's version line blanked.  hm_sweep.csv and outage.csv are as
 version 0.4.0 wrote them.  lm_sweep.csv and the three summaries were
 recorded again at 0.12.0, when the LM gains began to be read off the LM
 spectrum: only the se_lm_* fields moved, by at most 1.33e-15 relative.
+hm_sweep.csv, lm_sweep.csv and the three summaries were recorded again
+at 0.15.0, when the HM spectra factored out each path's Doppler shift
+and the detection terms began to work on bin energies: only the HM and
+HM-at-LM fields moved, by at most 1.31e-15 relative, and outage.csv
+kept its bytes.
 Nine trials per point reach numpy's unrolled pairwise summation (eight
 partial sums from eight values up), so a reduction that sums in another
 order shows in the last bits.  Mode "real" pins the null fields of an absent member.

@@ -126,3 +126,4 @@ def test_trial_ab_against_itself_finds_no_differing_row():
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["paper-hm-sweep", "lm-crowd", "big-frame-outage"]
     assert all(": 0 of 2 summaries differ;" in line for line in lines), done.stdout
+    assert all("; largest relative difference 0;" in line for line in lines), done.stdout

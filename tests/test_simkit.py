@@ -298,9 +298,11 @@ def test_point_rows_independent_of_chunking():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+    """Stands in for ProcessPoolExecutor: records its size and the tasks
+    it is given, maps in process."""
 
     sizes = []
+    tasks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -312,6 +314,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.tasks.extend(tasks)
         return map(fn, tasks)
 
 
@@ -335,6 +339,23 @@ def test_pool_size_capped_by_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: 2)
     assert run_sweep(cfg.replace(trials=40), workers=500)[0]["points"][0]["n_trials"] == 40
     assert RecordingPool.sizes == [4, 4, 3, 2]
+
+
+def test_pool_gets_a_few_tasks_per_worker_over_the_whole_sweep(monkeypatch):
+    # The task budget is about four per worker for the sweep, not per
+    # point: 11 points x 30 trials at two workers make 11 tasks of one
+    # point each, not 11 x 8 = 88.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "tasks", [])
+    monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = small_config(trials=30, rho_T_grid=tuple(range(0, 21, 2)))
+    pooled = run_sweep(cfg, workers=2)
+    assert RecordingPool.sizes == [2]
+    assert [(task[2], task[3], task[4]) for task in RecordingPool.tasks] == [
+        (point, 0, 30) for point in range(11)
+    ]
+    assert pooled == run_sweep(cfg)
 
 
 @pytest.mark.parametrize("command", ["hm-sweep", "lm-sweep"])
@@ -393,9 +414,12 @@ def test_sweep_without_trials_rejected():
 def test_chunk_bounds_partition():
     for n_trials in (1, 7, 40, 101):
         for workers in (1, 2, 3, 8):
-            bounds = _chunk_bounds(n_trials, workers)
-            assert bounds[0][0] == 0
-            assert bounds[-1][1] == n_trials
-            for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-                assert stop == start
-            assert all(stop > start for start, stop in bounds)
+            for points in (1, 2, 11, 40):
+                bounds = _chunk_bounds(n_trials, workers, points)
+                assert bounds[0][0] == 0
+                assert bounds[-1][1] == n_trials
+                for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+                    assert stop == start
+                assert all(stop > start for start, stop in bounds)
+                # About four tasks per worker over the whole sweep.
+                assert len(bounds) == min(n_trials, math.ceil(4 * workers / points))

@@ -11,9 +11,11 @@ point on both sides, alternating which side goes first.  Rep r runs at
 master seed r, so each rep draws new realizations.
 
 Per workload it prints the number of reps whose summaries differ
-between the sides, each side's median µs per (share, point, trial)
-row over the reps, and the median change/parent ratio of the per-rep
-times with its quartiles.  Passing the same tree twice is the A/A
+between the sides and the largest relative difference between their
+numbers over all reps (so that a change at the rounding level reads
+differently from a wrong one), each side's median µs per (share,
+point, trial) row over the reps, and the median change/parent ratio of
+the per-rep times with its quartiles.  Passing the same tree twice is the A/A
 control: its ratio spread is the machine's noise.  Exit status 1 when
 any summary differs.
 """
@@ -21,6 +23,7 @@ any summary differs.
 import argparse
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
@@ -73,11 +76,29 @@ def timed_sweep(package, workload, master_seed: int, n_trials: int) -> tuple[flo
     return time.perf_counter() - start, json.dumps(sweeps)
 
 
-def compare(packages, workload, reps: int, n_trials: int) -> tuple[int, list, list]:
-    """Reps whose summaries differ, and per-rep seconds of (parent, change)."""
+def relative_difference(a, b) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the numbers of two decoded
+    summaries; inf where their structure or other fields differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((relative_difference(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((relative_difference(x, y) for x, y in zip(a, b)), default=0.0)
+    numbers = (int, float)
+    if isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool):
+        return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+    return 0.0 if a == b else math.inf
+
+
+def compare(packages, workload, reps: int, n_trials: int) -> tuple[int, float, list, list]:
+    """Reps whose summaries differ, the largest relative difference
+    between their numbers, and per-rep seconds of (parent, change)."""
     for package in packages:  # warm caches and lazy imports outside the timing
         timed_sweep(package, workload, reps, 1)
-    differ = 0
+    differ, largest = 0, 0.0
     times = ([], [])
     for rep in range(reps):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
@@ -86,7 +107,8 @@ def compare(packages, workload, reps: int, n_trials: int) -> tuple[int, list, li
             seconds, summaries[k] = timed_sweep(packages[k], workload, rep, n_trials)
             times[k].append(seconds)
         differ += summaries[0] != summaries[1]
-    return differ, times[0], times[1]
+        largest = max(largest, relative_difference(*map(json.loads, summaries)))
+    return differ, largest, times[0], times[1]
 
 
 def main(argv=None) -> int:
@@ -104,12 +126,13 @@ def main(argv=None) -> int:
     ]
     any_differ = False
     for name, workload in sweep_workloads().items():
-        differ, parent, change = compare(packages, workload, args.reps, args.trials)
+        differ, largest, parent, change = compare(packages, workload, args.reps, args.trials)
         rows = len(workload.p0_values) * len(workload.grid) * args.trials
         ratios = [c / p for p, c in zip(parent, change)]
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
         print(
             f"{name}: {differ} of {args.reps} summaries differ; "
+            f"largest relative difference {largest:.3g}; "
             f"median us/row parent {1e6 * statistics.median(parent) / rows:.1f}, "
             f"change {1e6 * statistics.median(change) / rows:.1f}; "
             f"change/parent median {statistics.median(ratios):.3f} (quartiles {q1:.3f}/{q3:.3f})"
