@@ -123,7 +123,7 @@ def _write_manifest(
     cfg: SystemConfig,
     workers: int,
     outputs: list[str],
-    timing: dict | None = None,
+    timing: dict,
 ) -> Path:
     """Write the run manifest; timings vary between runs, so they go
     here and never into the CSVs or summaries."""
@@ -136,11 +136,10 @@ def _write_manifest(
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "master_seed": cfg.master_seed,
         "workers": workers,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "outputs": outputs,
+        "timing": timing,
     }
-    if timing is not None:
-        manifest["timing"] = timing
     _write_json(path, manifest)
     return path
 
@@ -173,7 +172,7 @@ def cmd_sweep(cfg: SystemConfig, args: argparse.Namespace) -> int:
     summary = {
         "command": args.command,
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "sweeps": sweeps,
     }
     _write_json(out_dir / outputs[1], summary)
@@ -204,7 +203,7 @@ def cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
             {
                 "command": "validate",
                 "version": __version__,
-                "config": cfg.to_dict(),
+                "config": asdict(cfg),
                 "checks": [asdict(result) for result in results],
             },
         )

@@ -1,7 +1,6 @@
 """Scenario configuration: validated parameters with simulation defaults."""
 
 import dataclasses
-import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -140,11 +139,6 @@ class SystemConfig:
     mode: str = "both"
     lm_min_includes_hm_stage: bool = True
 
-    def __new__(cls, *args, **kwargs):
-        # Runs before the generated __init__, which would raise a bare TypeError.
-        _reject_unknown_keys(kwargs)
-        return super().__new__(cls)
-
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = _TYPE_RULES[field.type](field.name, getattr(self, field.name))
@@ -213,18 +207,6 @@ class SystemConfig:
         """Return a copy with the given fields changed (revalidated)."""
         return dataclasses.replace(self, **changes)
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict with every field resolved."""
-        out = dataclasses.asdict(self)
-        out["rho_T_grid"] = list(self.rho_T_grid)
-        return out
-
-
-# inspect would read __new__'s (*args, **kwargs); show the fields instead.
-SystemConfig.__signature__ = inspect.Signature(
-    list(inspect.signature(SystemConfig.__init__).parameters.values())[1:]
-)
-
 
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build a config from a plain dict, rejecting unknown keys.
@@ -234,6 +216,7 @@ def config_from_dict(raw: dict) -> SystemConfig:
     """
     if not isinstance(raw, dict):
         raise ParseError(f"config document must be a JSON object, got {type(raw).__name__}")
+    _reject_unknown_keys(raw)
     return SystemConfig(**raw)
 
 

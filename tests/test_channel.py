@@ -25,7 +25,6 @@ from ddlink_sim.validation import (
     diagonalize_bccb,
     full_spectrum,
     hm_channel_matrices,
-    lm_channel_matrix,
 )
 
 
@@ -287,7 +286,7 @@ def test_lm_spectrum_is_constant_along_doppler():
     lm = sample_lm_channel(cfg, np.random.default_rng(79))
     basis = build_basis(cfg.N, cfg.M)
     for user in (1, cfg.U):
-        dense = lm_channel_matrix(lm, user, cfg.N, cfg.M)
+        dense = loop_lm_matrix(lm, user, cfg.N, cfg.M)
         lam = diagonalize_bccb(dense, basis).reshape(cfg.M, cfg.N)
         assert np.abs(lam - lam[:, :1]).max() < 1e-12
 
@@ -301,7 +300,7 @@ def test_lm_spectrum_matches_dense_matrix():
     assert lam.shape == (cfg.U, cfg.M)
     basis = build_basis(cfg.N, cfg.M)
     for user in range(1, cfg.U + 1):
-        oracle = diagonalize_bccb(lm_channel_matrix(lm, user, cfg.N, cfg.M), basis)
+        oracle = diagonalize_bccb(loop_lm_matrix(lm, user, cfg.N, cfg.M), basis)
         fast = np.repeat(lam[user - 1], cfg.N)
         assert np.abs(oracle - fast).max() < 1e-9 * max(np.abs(oracle).max(), 1.0)
 
@@ -503,7 +502,8 @@ def loop_channel_matrices(ch, n_doppler, n_delay):
 
 
 def loop_lm_matrix(lm, user, n_doppler, n_delay):
-    """`lm_channel_matrix` as one scatter per tap, in tap order."""
+    """Dense delay-only channel matrix of LM user `user` (1-based), one
+    scatter per tap, in tap order."""
     nm = n_doppler * n_delay
     h = np.zeros((nm, nm), dtype=complex)
     for delay, gain in zip(lm.delay[user - 1], lm.gain[user - 1]):
@@ -536,13 +536,3 @@ def test_dense_builder_sums_coinciding_shifts():
     assert_builders_agree(ch, 8)
     main = hm_channel_matrices(ch, 8, 8)[0]
     assert np.count_nonzero(main[0]) == 1
-
-
-def test_lm_matrix_matches_per_tap_loop():
-    # User 1's padding taps share delay 0 with its first tap.
-    lm = LMChannels([[0, 3, 0, 0], [0, 1, 2, 5]], [[0.8 - 0.1j, 0.3j, 0, 0], [0.5, -0.5, 0.5j, 1]])
-    sampled = sample_lm_channel(small_config(U=8), np.random.default_rng(340))
-    for channels in (lm, sampled):
-        for user in range(1, channels.gain.shape[0] + 1):
-            got = lm_channel_matrix(channels, user, 8, 8)
-            assert np.array_equal(got, loop_lm_matrix(channels, user, 8, 8))

@@ -1,5 +1,6 @@
 """Module layout: the trial path does not depend on the dense reference,
-importing the package loads no process-pool machinery, README.md and
+every public definition has a caller in the package, importing the
+package loads no process-pool machinery, README.md and
 the config's signature list the config schema field for field, the
 test settings reject a mistyped marker, and the in-process A/B tool
 runs.
@@ -32,7 +33,7 @@ FAST_PATH = ("channel", "equalizer", "noma", "simkit")
 
 def package_imports(module: str) -> set:
     """Names of the package modules that `module` imports."""
-    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    tree = parse_module(module)
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -59,6 +60,19 @@ def package_imports(module: str) -> set:
     return found
 
 
+def parse_module(module: str) -> ast.Module:
+    return ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def referenced_names(node: ast.AST) -> set:
+    """Names that `node` reads, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
 @pytest.mark.parametrize("module", ["equalizer", "noma"])
 def test_leaf_modules_import_no_package_module(module):
     assert package_imports(module) == set()
@@ -83,6 +97,23 @@ def test_package_import_loads_no_pool_machinery():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    # A public function or class that only its unit test calls is dead
+    # weight: each one must be read somewhere in the package outside its
+    # own definition, or be a root export.
+    modules = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
+    statements = [(m, stmt) for m in modules for stmt in parse_module(m).body]
+    unused = []
+    for module, stmt in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        if stmt.name in ddlink_sim.__all__:
+            continue
+        if not any(stmt.name in referenced_names(other) for _, other in statements if other is not stmt):
+            unused.append(f"{module}.{stmt.name}")
+    assert unused == []
 
 
 def test_dense_reference_has_no_module_of_its_own():
